@@ -34,6 +34,16 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+def _cap(text):
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return cap
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="pjsat",
@@ -52,7 +62,7 @@ def _build_parser():
         p.add_argument("--cs", dest="cs_path", help="constant specification file")
         p.add_argument(
             "--cap",
-            type=int,
+            type=_cap,
             default=DEFAULT_ATOM_CAP,
             help="atom enumeration cap on the basis size",
         )
@@ -159,8 +169,17 @@ def main(argv=None) -> int:
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ParseError, cspec.CSFormatError, solver.ModelFormatError, OSError) as exc:
+    except (
+        ParseError,
+        cspec.CSFormatError,
+        solver.ModelFormatError,
+        OSError,
+        UnicodeDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,10 +1,12 @@
 """The decision procedure for probability formulas over justification logic.
 
 Satisfiability goes through four stages: rewrite the formula into a DNF
-over probability literals, enumerate the atoms of the formula and keep the
-ones a basic evaluation can satisfy, translate each disjunct into an exact
-linear system over atom weights, and turn the first feasible system's
-solution into a small model with few worlds and small rational weights.
+over probability literals, enumerate the atoms of the formula and keep,
+for each signature (the truth values of the literal bodies), the first
+atom a basic evaluation can satisfy, translate each disjunct into an exact
+linear system over those atoms' weights, and turn the first feasible
+system's solution into a small model with few worlds and small rational
+weights.
 """
 
 from __future__ import annotations
@@ -25,12 +27,16 @@ from .linrat import (
     shrink_solution,
 )
 from .syntax import (
+    Assert,
     AtLeast,
     Atom,
     DEFAULT_ATOM_CAP,
+    JAnd,
+    JNot,
     PFormula,
     PNot,
     ParseError,
+    Prop,
     atoms_of,
     basis_of,
     parse_jformula,
@@ -97,6 +103,26 @@ def p_dnf(f: PFormula) -> PDnf:
             )
             disjuncts.append(conj)
     return PDnf(tuple(disjuncts))
+
+
+def _signature_fn(bodies, basis):
+    """Compile the bodies into one function from an atom's signs to its
+    signature: the tuple of the bodies' truth values under the atom, which
+    is all of the atom that the linear systems see."""
+    index = {b: i for i, b in enumerate(basis)}
+
+    def test_of(g):
+        if isinstance(g, (Prop, Assert)):
+            i = index[g]
+            return lambda signs: signs[i]
+        if isinstance(g, JNot):
+            body = test_of(g.body)
+            return lambda signs: not body(signs)
+        left, right = test_of(g.left), test_of(g.right)
+        return lambda signs: left(signs) and right(signs)
+
+    tests = [test_of(b) for b in bodies]
+    return lambda signs: tuple([t(signs) for t in tests])
 
 
 def build_system(conj, sat_atoms) -> LinearSystem:
@@ -189,13 +215,22 @@ def solve_sat(
 ):
     """SAT with a small-model witness (a SmallModel), or None for UNSAT.
 
-    Disjuncts of the DNF are tried in order; the first feasible linear
-    system wins.  The emitted model is rebuilt from the shrunk solution
-    and re-verified before being returned.
+    Atoms with the same signature give identical columns, so each
+    signature keeps one column: its first J-satisfiable atom in
+    enumeration order.  Atoms of a signature that already has one are not
+    J-checked.  Disjuncts of the DNF are tried in order; the first
+    feasible linear system wins.  The emitted model is rebuilt from the
+    shrunk solution and re-verified before being returned.
     """
     basis = basis_of(f)
-    all_atoms = list(atoms_of(f, cap))
-    sat_atoms = [a for a in all_atoms if atom_jsat(a, cs)]
+    bodies = dict.fromkeys(occ.body for occ in _p_occurrences(f))
+    signature = _signature_fn(bodies, basis)
+    reps = {}
+    for a in atoms_of(f, cap):
+        key = signature(a.signs)
+        if key not in reps and atom_jsat(a, cs):
+            reps[key] = a
+    sat_atoms = list(reps.values())
     for conj in p_dnf(f).disjuncts:
         system = build_system(conj, sat_atoms)
         if on_system is not None:
@@ -280,8 +315,6 @@ def parse_model(text: str, f: PFormula) -> SmallModel:
 
 
 def _conjunct_literals(conj):
-    from .syntax import JAnd, JNot, Prop, Assert
-
     if isinstance(conj, JAnd):
         yield from _conjunct_literals(conj.left)
         yield from _conjunct_literals(conj.right)

@@ -36,6 +36,17 @@ class TestSat:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["sat", str(tmp_path / "absent.pj")]) == 2
 
+    def test_non_utf8_file_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "f.pj"
+        p.write_bytes(b"P>=1/2 p1  # caf\xe9\n")
+        assert main(["sat", str(p)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_deep_nesting_exit_two(self, tmp_path, capsys):
+        f = write(tmp_path, "f.pj", "P>=1/2 " + "~" * 5000 + "p1\n")
+        assert main(["sat", f]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_comments_stripped(self, tmp_path):
         f = write(tmp_path, "f.pj", "# goal\nP>=1/2 p1  # half\n")
         assert main(["sat", f]) == 0
@@ -142,3 +153,9 @@ class TestUsage:
     def test_unknown_flag(self, tmp_path):
         f = write(tmp_path, "f.pj", "P>=1 p1\n")
         assert main(["sat", f, "--frobnicate"]) == 2
+
+    def test_cap_below_one(self, tmp_path, capsys):
+        f = write(tmp_path, "f.pj", "P>=1 p1\n")
+        for cap in ("0", "-1"):
+            assert main(["sat", f, "--cap", cap]) == 2
+            assert "--cap" in capsys.readouterr().err

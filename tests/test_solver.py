@@ -6,7 +6,7 @@ import pytest
 
 from pjsat.cspec import default_cs
 from pjsat.jsem import BasisMismatchError, atom_jsat, eval_under_atom, jformula_sat
-from pjsat.linrat import Rel
+from pjsat.linrat import Rel, feasible
 from pjsat.solver import (
     PLiteral,
     SmallModel,
@@ -23,6 +23,8 @@ from pjsat.solver import (
 from pjsat.syntax import (
     AtLeast,
     Atom,
+    JAnd,
+    PAnd,
     PNot,
     Prop,
     atoms_of,
@@ -32,7 +34,7 @@ from pjsat.syntax import (
     size_p,
 )
 
-from _gen import rand_pformula
+from _gen import THRESHOLDS, rand_jformula, rand_pformula, trap_jformula
 
 CS = default_cs()
 F = Fraction
@@ -161,6 +163,62 @@ class TestSolveSat:
                 for a, _ in m.worlds:
                     assert atom_jsat(a, CS)
         assert sats > 5
+
+
+def overlapping_pformula(rng, literals=4):
+    """P-literals over a pool of three bodies, one of them an application
+    trap so that some atoms are J-unsatisfiable: bodies repeat across
+    literals and share basic subformulas through conjunctions."""
+    pool = [
+        rand_jformula(rng, depth=2, consts=("s", "t", "c_app"), props=3),
+        rand_jformula(rng, depth=2, consts=("s", "t", "c_app"), props=3),
+        trap_jformula(rng),
+    ]
+    f = None
+    for _ in range(literals):
+        body = rng.choice(pool)
+        if rng.random() < 0.3:
+            body = JAnd(body, rng.choice(pool))
+        g = AtLeast(rng.choice(THRESHOLDS), body)
+        if rng.random() < 0.3:
+            g = PNot(g)
+        if f is None:
+            f = g
+        elif rng.random() < 0.3:  # P-level disjunction
+            f = PNot(PAnd(PNot(f), PNot(g)))
+        else:
+            f = PAnd(f, g)
+    return f
+
+
+class TestSignatureDedup:
+    def test_dedup_is_sound(self):
+        rng = random.Random(83)
+        tried = sats = merged = 0
+        while tried < 30:
+            f = overlapping_pformula(rng)
+            if not 4 <= len(basis_of(f)) <= 6:
+                continue
+            tried += 1
+            systems = []
+            m = solve_sat(f, CS, on_system=systems.append)
+            for s in systems:
+                columns = list(zip(*(row.coeffs for row in s.rows)))
+                assert len(set(columns)) == len(columns)
+            every_jsat = [a for a in atoms_of(f) if atom_jsat(a, CS)]
+            undeduplicated = any(
+                feasible(build_system(conj, every_jsat)) is not None
+                for conj in p_dnf(f).disjuncts
+            )
+            assert (m is not None) == undeduplicated, f
+            if m is not None:
+                sats += 1
+                assert certify_model(m, f, CS) == []
+            if systems and systems[0].var_count < len(every_jsat):
+                merged += 1
+        # the corpus exercises both verdicts and actually merges columns
+        assert 0 < sats < tried
+        assert merged > tried // 2
 
 
 class TestCheckModel:
