@@ -6,7 +6,7 @@ logic, with small-model witnesses carrying certified size bounds.
 
 from .cspec import ConstantSpec, builtin_schemes, cs_contains, default_cs, load_cs, validate
 from .jsem import atom_jsat, eval_under_atom, jformula_sat
-from .linrat import LinearSystem, Rel, Row, Solution, feasible, integerize, reduce_support, shrink_solution
+from .linrat import LinearSystem, Rel, Row, Solution, feasible, integerize, shrink_solution
 from .solver import SmallModel, check_model, lift_to_p1, p_dnf, solve_sat, valid
 from .syntax import (
     Atom,
@@ -40,7 +40,6 @@ __all__ = [
     "Solution",
     "feasible",
     "integerize",
-    "reduce_support",
     "shrink_solution",
     "SmallModel",
     "check_model",

@@ -1,4 +1,4 @@
-"""Constant specifications: built-in axiom schemes, matching, validation.
+"""Constant specifications: built-in axiom schemes, unification, validation.
 
 A constant specification assigns evidence for axiom instances to term
 constants.  The schematic part maps constants to scheme names; the finite
@@ -79,53 +79,77 @@ def scheme_named(name: str) -> Scheme | None:
     return _SCHEME_BY_NAME.get(name)
 
 
-def match(pattern, ground, bindings=None):
-    """One-sided structural match of a scheme pattern against a ground
-    formula.  Returns the binding map, or None on mismatch."""
-    if bindings is None:
-        bindings = {}
+# --- unification over the two-sorted pattern language ---
+#
+# A substitution is a dict keyed by metavariable nodes, so formula and
+# term metavariables of the same name never collide.
 
-    def go_f(pat, g):
-        if isinstance(pat, FMeta):
-            if pat.name in bindings:
-                return bindings[pat.name] == g
-            bindings[pat.name] = g
+def _occurs(meta, pat, subst):
+    if isinstance(pat, (FMeta, TMeta)):
+        if pat == meta:
             return True
-        if isinstance(pat, Prop):
-            return pat == g
-        if isinstance(pat, JNot):
-            return isinstance(g, JNot) and go_f(pat.body, g.body)
-        if isinstance(pat, JAnd):
-            return (
-                isinstance(g, JAnd)
-                and go_f(pat.left, g.left)
-                and go_f(pat.right, g.right)
-            )
-        if isinstance(pat, Assert):
-            return (
-                isinstance(g, Assert)
-                and go_t(pat.term, g.term)
-                and go_f(pat.body, g.body)
-            )
-        raise TypeError(f"bad pattern node: {pat!r}")
+        bound = subst.get(pat)
+        return bound is not None and _occurs(meta, bound, subst)
+    if isinstance(pat, (Prop, Const, Var)):
+        return False
+    if isinstance(pat, (JNot,)):
+        return _occurs(meta, pat.body, subst)
+    if isinstance(pat, (JAnd, App, Sum)):
+        return _occurs(meta, pat.left, subst) or _occurs(meta, pat.right, subst)
+    if isinstance(pat, Assert):
+        return _occurs(meta, pat.term, subst) or _occurs(meta, pat.body, subst)
+    if isinstance(pat, Bang):
+        return _occurs(meta, pat.inner, subst)
+    raise TypeError(f"bad pattern: {pat!r}")
 
-    def go_t(pat, g):
-        if isinstance(pat, TMeta):
-            if pat.name in bindings:
-                return bindings[pat.name] == g
-            bindings[pat.name] = g
-            return True
-        if isinstance(pat, (Const, Var)):
-            return pat == g
-        if isinstance(pat, App):
-            return isinstance(g, App) and go_t(pat.left, g.left) and go_t(pat.right, g.right)
-        if isinstance(pat, Sum):
-            return isinstance(g, Sum) and go_t(pat.left, g.left) and go_t(pat.right, g.right)
-        if isinstance(pat, Bang):
-            return isinstance(g, Bang) and go_t(pat.inner, g.inner)
-        raise TypeError(f"bad term pattern node: {pat!r}")
 
-    return bindings if go_f(pattern, ground) else None
+def _resolve(pat, subst):
+    while isinstance(pat, (FMeta, TMeta)) and pat in subst:
+        pat = subst[pat]
+    return pat
+
+
+def unify(x, y, subst):
+    """Most general unifier extending subst, or None on failure.
+
+    Patterns are formula or term patterns; the result maps metavariable
+    nodes to patterns and passes the occurs-check.
+    """
+    x = _resolve(x, subst)
+    y = _resolve(y, subst)
+    if x == y:
+        return subst
+    if isinstance(x, (FMeta, TMeta)):
+        if _occurs(x, y, subst):
+            return None
+        out = dict(subst)
+        out[x] = y
+        return out
+    if isinstance(y, (FMeta, TMeta)):
+        return unify(y, x, subst)
+    if isinstance(x, JNot) and isinstance(y, JNot):
+        return unify(x.body, y.body, subst)
+    if isinstance(x, JAnd) and isinstance(y, JAnd):
+        s = unify(x.left, y.left, subst)
+        return None if s is None else unify(x.right, y.right, s)
+    if isinstance(x, Assert) and isinstance(y, Assert):
+        s = unify(x.term, y.term, subst)
+        return None if s is None else unify(x.body, y.body, s)
+    if isinstance(x, App) and isinstance(y, App):
+        s = unify(x.left, y.left, subst)
+        return None if s is None else unify(x.right, y.right, s)
+    if isinstance(x, Sum) and isinstance(y, Sum):
+        s = unify(x.left, y.left, subst)
+        return None if s is None else unify(x.right, y.right, s)
+    if isinstance(x, Bang) and isinstance(y, Bang):
+        return unify(x.inner, y.inner, subst)
+    return None
+
+
+def match(pattern, ground):
+    """One-sided match of a scheme pattern against a ground formula: the
+    unifier binding the pattern's metavariables, or None on mismatch."""
+    return unify(pattern, ground, {})
 
 
 def is_axiom_instance(phi) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cspec import ConstantSpec, FMeta, TMeta, scheme_named
+from .cspec import ConstantSpec, FMeta, TMeta, scheme_named, unify
 from .syntax import (
     App,
     Assert,
@@ -38,9 +38,8 @@ class BasisMismatchError(ValueError):
 
 # --- substitutions over the two-sorted pattern language ---
 #
-# A substitution is a dict mapping metavariable names to patterns; formula
-# and term metavariable names never collide because every binding is keyed
-# by the metavariable node itself.
+# A substitution is the dict that ``cspec.unify`` builds, keyed by
+# metavariable nodes.
 
 def subst_apply(pat, subst):
     """Apply a substitution to a formula or term pattern."""
@@ -62,68 +61,6 @@ def subst_apply(pat, subst):
     if isinstance(pat, Bang):
         return Bang(subst_apply(pat.inner, subst))
     raise TypeError(f"bad pattern: {pat!r}")
-
-
-def _occurs(meta, pat, subst):
-    if isinstance(pat, (FMeta, TMeta)):
-        if pat == meta:
-            return True
-        bound = subst.get(pat)
-        return bound is not None and _occurs(meta, bound, subst)
-    if isinstance(pat, (Prop, Const, Var)):
-        return False
-    if isinstance(pat, (JNot,)):
-        return _occurs(meta, pat.body, subst)
-    if isinstance(pat, (JAnd, App, Sum)):
-        return _occurs(meta, pat.left, subst) or _occurs(meta, pat.right, subst)
-    if isinstance(pat, Assert):
-        return _occurs(meta, pat.term, subst) or _occurs(meta, pat.body, subst)
-    if isinstance(pat, Bang):
-        return _occurs(meta, pat.inner, subst)
-    raise TypeError(f"bad pattern: {pat!r}")
-
-
-def _resolve(pat, subst):
-    while isinstance(pat, (FMeta, TMeta)) and pat in subst:
-        pat = subst[pat]
-    return pat
-
-
-def unify(x, y, subst):
-    """Most general unifier extending subst, or None on failure.
-
-    Patterns are formula or term patterns; the result maps metavariable
-    nodes to patterns and passes the occurs-check.
-    """
-    x = _resolve(x, subst)
-    y = _resolve(y, subst)
-    if x == y:
-        return subst
-    if isinstance(x, (FMeta, TMeta)):
-        if _occurs(x, y, subst):
-            return None
-        out = dict(subst)
-        out[x] = y
-        return out
-    if isinstance(y, (FMeta, TMeta)):
-        return unify(y, x, subst)
-    if isinstance(x, JNot) and isinstance(y, JNot):
-        return unify(x.body, y.body, subst)
-    if isinstance(x, JAnd) and isinstance(y, JAnd):
-        s = unify(x.left, y.left, subst)
-        return None if s is None else unify(x.right, y.right, s)
-    if isinstance(x, Assert) and isinstance(y, Assert):
-        s = unify(x.term, y.term, subst)
-        return None if s is None else unify(x.body, y.body, s)
-    if isinstance(x, App) and isinstance(y, App):
-        s = unify(x.left, y.left, subst)
-        return None if s is None else unify(x.right, y.right, s)
-    if isinstance(x, Sum) and isinstance(y, Sum):
-        s = unify(x.left, y.left, subst)
-        return None if s is None else unify(x.right, y.right, s)
-    if isinstance(x, Bang) and isinstance(y, Bang):
-        return unify(x.inner, y.inner, subst)
-    return None
 
 
 def _rename_pattern(pat, mapping, fresh):

@@ -2,11 +2,13 @@
 
 Systems are rows of rational coefficients with relations {=, <=, >=, <}
 over implicitly non-negative variables.  Feasibility runs an exact
-two-phase simplex with Bland's rule; strict rows are handled by
-maximizing a slack epsilon.  ``shrink_solution`` turns any non-negative
-solution into one with few positive entries and certified entry sizes,
-by pinning inequalities, support reduction through kernel walks, and
-dependent-row removal down to a square nonsingular system.
+two-phase simplex with Bland's rule, its objective row kept in the
+tableau; strict rows are handled by maximizing a slack epsilon.
+``shrink_solution`` turns any non-negative solution into one with few
+positive entries and certified entry sizes: it pins every row at the
+solution's value, restricts the system to the solution's support and
+reruns phase 1 there, which ends at a basic solution.  ``_pivot`` is the
+only elimination step in the module.
 """
 
 from __future__ import annotations
@@ -96,31 +98,35 @@ class UnboundedError(RuntimeError):
 
 
 def _pivot(tableau, basis, row, col):
+    """Gauss-Jordan step on tableau[row][col]: the one elimination in linrat.
+    Every other row, the objective row last among them, loses column col."""
     piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    prow = tableau[row]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            f = tableau[i][col]
-            tableau[i] = [a - f * b for a, b in zip(tableau[i], prow)]
+    if piv != 1:
+        tableau[row] = [v / piv for v in tableau[row]]
+    nonzero = [(k, v) for k, v in enumerate(tableau[row]) if v]
+    for i, line in enumerate(tableau):
+        f = line[col]
+        if f and i != row:
+            for k, v in nonzero:
+                line[k] -= f * v
     basis[row] = col
 
 
-def _run_simplex(tableau, basis, cost):
-    """Minimize cost over the tableau in place, Bland's rule throughout."""
-    m = len(tableau)
-    ncols = len(cost)
+def _price_out(tableau, basis, cost):
+    """Append cost as the objective row, priced out over the basis: its
+    entries become the reduced costs, its last entry minus the objective."""
+    tableau.append([Fraction(c) for c in cost] + [Fraction(0)])
+    for i, b in enumerate(basis):
+        if tableau[-1][b] != 0:
+            _pivot(tableau, basis, i, b)
+
+
+def _run_simplex(tableau, basis):
+    """Minimize the objective in the tableau's last row in place, Bland's
+    rule throughout.  Basic columns have reduced cost 0 and never enter."""
+    m = len(basis)
     while True:
-        in_basis = set(basis)
-        cb = [cost[b] for b in basis]
-        enter = -1
-        for j in range(ncols):
-            if j in in_basis:
-                continue
-            reduced = cost[j] - sum(cb[i] * tableau[i][j] for i in range(m))
-            if reduced < 0:
-                enter = j
-                break
+        enter = next((j for j, d in enumerate(tableau[-1][:-1]) if d < 0), -1)
         if enter < 0:
             return
         leave = -1
@@ -142,14 +148,13 @@ def _run_simplex(tableau, basis, cost):
 
 def _lp_max(rows, n, objective):
     """Maximize objective over {x >= 0 : rows hold}, rows with Rel.EQ/Rel.LE
-    only.  Returns the optimal x as a list of Fractions, or None if
+    only.  Returns an optimal basic x as a list of Fractions, or None if
     infeasible."""
     le_rows = [i for i, r in enumerate(rows) if r.rel is Rel.LE]
     slack_of = {ri: n + k for k, ri in enumerate(le_rows)}
     ns = len(le_rows)
     m = len(rows)
     art_start = n + ns
-    ncols = art_start + m
     tableau = []
     basis = []
     for i, row in enumerate(rows):
@@ -165,14 +170,14 @@ def _lp_max(rows, n, objective):
         basis.append(art_start + i)
 
     # phase 1: minimize the sum of artificials
-    cost1 = [Fraction(0)] * art_start + [Fraction(1)] * m
-    _run_simplex(tableau, basis, cost1)
-    if sum(tableau[i][-1] for i in range(m) if basis[i] >= art_start) > 0:
+    _price_out(tableau, basis, [0] * art_start + [1] * m)
+    _run_simplex(tableau, basis)
+    if tableau[-1][-1] < 0:  # the artificials' sum stays positive
         return None
 
     # drive artificials out of the basis; drop redundant rows
     i = 0
-    while i < len(tableau):
+    while i < len(basis):
         if basis[i] >= art_start:
             col = next(
                 (j for j in range(art_start) if tableau[i][j] != 0), None
@@ -184,10 +189,10 @@ def _lp_max(rows, n, objective):
             _pivot(tableau, basis, i, col)
         i += 1
 
-    # phase 2 without artificial columns
-    tableau = [line[:art_start] + [line[-1]] for line in tableau]
-    cost2 = [-Fraction(objective[j]) if j < n else Fraction(0) for j in range(art_start)]
-    _run_simplex(tableau, basis, cost2)
+    # phase 2 without artificial columns or the phase-1 objective row
+    tableau = [line[:art_start] + [line[-1]] for line in tableau[:-1]]
+    _price_out(tableau, basis, [-c for c in objective] + [0] * ns)
+    _run_simplex(tableau, basis)
 
     x = [Fraction(0)] * n
     for i, b in enumerate(basis):
@@ -225,8 +230,6 @@ def feasible(system: LinearSystem):
     else:
         objective = [zero] * n
 
-    if not rows:
-        return Solution((zero,) * n)
     x = _lp_max(rows, n + extra, objective)
     if x is None:
         return None
@@ -236,103 +239,6 @@ def feasible(system: LinearSystem):
     if not satisfies(system, sol.values):
         raise AssertionError("simplex produced an invalid solution")
     return sol
-
-
-# --- exact linear algebra helpers ---
-
-def _kernel_vector(matrix, k):
-    """A nonzero rational vector in the kernel of the r x k matrix, or None
-    if the columns are independent."""
-    rows = [list(r) for r in matrix]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(k) if c not in pivots]
-    if not free:
-        return None
-    f0 = free[0]
-    v = [Fraction(0)] * k
-    v[f0] = Fraction(1)
-    for i, c in enumerate(pivots):
-        v[c] = -rows[i][f0]
-    return v
-
-
-def _independent_row_indices(matrix):
-    """Indices of a maximal independent subset of rows, first-come order."""
-    kept = []
-    reduced = []  # rows in echelon form, paired pivot columns
-    for idx, row in enumerate(matrix):
-        work = list(row)
-        for prow, pcol in reduced:
-            if work[pcol] != 0:
-                f = work[pcol]
-                work = [a - f * b for a, b in zip(work, prow)]
-        pcol = next((j for j, v in enumerate(work) if v != 0), None)
-        if pcol is None:
-            continue
-        pv = work[pcol]
-        work = [v / pv for v in work]
-        reduced.append((work, pcol))
-        kept.append(idx)
-    return kept
-
-
-def _solve_square(matrix, rhs):
-    """Unique solution of a nonsingular square system, or None if singular."""
-    k = len(matrix)
-    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    for c in range(k):
-        pr = next((i for i in range(c, k) if aug[i][c] != 0), None)
-        if pr is None:
-            return None
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [v / pv for v in aug[c]]
-        for i in range(k):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [aug[i][-1] for i in range(k)]
-
-
-def reduce_support(system: LinearSystem, x: Solution) -> Solution:
-    """Walk along kernel directions of the positive-support column
-    submatrix until at most r entries are positive (r = row count).
-    Never adds new support indices."""
-    rows = system.rows
-    r = len(rows)
-    values = list(x.values)
-    while True:
-        support = [i for i, v in enumerate(values) if v > 0]
-        if len(support) <= r:
-            break
-        sub = [[row.coeffs[i] for i in support] for row in rows]
-        d = _kernel_vector(sub, len(support))
-        if d is None:
-            raise AssertionError("no kernel vector despite support > rank bound")
-        if all(di >= 0 for di in d):
-            d = [-di for di in d]
-        step = min(
-            values[si] / -di for si, di in zip(support, d) if di < 0
-        )
-        for si, di in zip(support, d):
-            values[si] += step * di
-    return Solution(tuple(values))
 
 
 def integerize(system: LinearSystem):
@@ -362,61 +268,28 @@ def shrink_solution(system: LinearSystem, x: Solution) -> Solution:
     """Transform a non-negative solution into one with at most r positive
     entries, support nested in x's, and entries of certified size.
 
-    Pipeline: zero out zero entries, pin every inequality to an equality at
-    x's value, then alternate support reduction and dependent-row removal
-    until a square nonsingular system remains, solved exactly.
+    Every row is pinned to an equality at x's value and the system is
+    restricted to x's support.  Phase 1 of the simplex on that system ends
+    at a basic solution: it solves a square nonsingular subsystem, so it
+    has at most r positive entries and entries of certified size.  When
+    x's support columns are independent, as for every solution that
+    ``feasible`` returns, that solution is x itself.
     """
     n = system.var_count
-    values = list(x.values)
+    values = x.values
     if not satisfies(system, values):
         raise ValueError("x is not a non-negative solution of the system")
-    if not system.rows:
-        return Solution((Fraction(0),) * n)
-
-    # pin inequalities to equalities at x's value
-    eq_rows = []
+    support = [j for j in range(n) if values[j] > 0]
+    pinned = []
     for row in system.rows:
-        if row.rel is Rel.EQ:
-            eq_rows.append((list(row.coeffs), row.rhs))
-        else:
-            pinned = sum(c * v for c, v in zip(row.coeffs, values))
-            eq_rows.append((list(row.coeffs), pinned))
-
-    active = [i for i in range(n) if values[i] != 0]
-
-    while True:
-        v = len(active)
-        e = len(eq_rows)
-        if v == 0:
-            break
-        mat = [[coeffs[j] for j in active] for coeffs, _ in eq_rows]
-        if e == v:
-            if _solve_square(mat, [rhs for _, rhs in eq_rows]) is not None:
-                break
-            keep = _independent_row_indices(mat)
-            eq_rows = [eq_rows[i] for i in keep]
-        elif e < v:
-            sub = LinearSystem(
-                tuple(
-                    Row(tuple(m_row), Rel.EQ, rhs)
-                    for m_row, (_, rhs) in zip(mat, eq_rows)
-                ),
-                v,
-            )
-            reduced = reduce_support(sub, Solution(tuple(values[j] for j in active)))
-            for j, val in zip(active, reduced.values):
-                values[j] = val
-            active = [j for j in active if values[j] != 0]
-        else:
-            keep = _independent_row_indices(mat)
-            eq_rows = [eq_rows[i] for i in keep]
-
-    if active:
-        mat = [[coeffs[j] for j in active] for coeffs, _ in eq_rows]
-        solved = _solve_square(mat, [rhs for _, rhs in eq_rows])
-        for j, val in zip(active, solved):
-            values[j] = val
-    result = Solution(tuple(values))
+        coeffs = tuple(row.coeffs[j] for j in support)
+        value = sum(c * values[j] for c, j in zip(coeffs, support))
+        pinned.append(Row(coeffs, Rel.EQ, value))
+    basic = _lp_max(pinned, len(support), [0] * len(support))
+    out = [Fraction(0)] * n
+    for j, v in zip(support, basic):
+        out[j] = v
+    result = Solution(tuple(out))
     if not satisfies(system, result.values):
         raise AssertionError("shrunk solution fails the original system")
     return result

@@ -122,14 +122,6 @@ class PAnd:
 PFormula = AtLeast | PNot | PAnd
 
 
-def jand_all(parts):
-    parts = list(parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = JAnd(out, p)
-    return out
-
-
 def jimp(a, b):
     """Implication sugar, stored desugared as ~(a & ~b)."""
     return JNot(JAnd(a, JNot(b)))
@@ -461,10 +453,6 @@ class Atom:
             s = jformula_str(b, 1)
             parts.append(s if sign else "~" + s)
         return " & ".join(parts)
-
-    def as_jformula(self) -> JFormula:
-        lits = [b if sign else JNot(b) for b, sign in zip(self.basis, self.signs)]
-        return jand_all(lits)
 
 
 DEFAULT_ATOM_CAP = 20

@@ -10,7 +10,6 @@ from pjsat.linrat import (
     feasible,
     integerize,
     make_system,
-    reduce_support,
     satisfies,
     shrink_bound,
     shrink_solution,
@@ -79,10 +78,13 @@ class TestFeasible:
 
 
 class TestReduceSupport:
+    """Support reduction by shrink_solution on all-equality systems, where
+    pinning changes no row."""
+
     def test_single_row_three_vars(self):
         s = sys_of([([1, 1, 1], Rel.EQ, 1)], 3)
         x = Solution((F(1, 3), F(1, 3), F(1, 3)))
-        out = reduce_support(s, x)
+        out = shrink_solution(s, x)
         assert satisfies(s, out.values)
         assert sum(1 for v in out.values if v > 0) == 1
         assert sum(out.values) == 1
@@ -90,12 +92,12 @@ class TestReduceSupport:
     def test_already_small_support_unchanged(self):
         s = sys_of([([1, 1, 1], Rel.EQ, 1), ([1, 0, 0], Rel.EQ, F(1, 2))], 3)
         x = Solution((F(1, 2), F(1, 2), F(0)))
-        assert reduce_support(s, x) == x
+        assert shrink_solution(s, x) == x
 
     def test_zero_solution_unchanged(self):
         s = sys_of([([1, -1], Rel.EQ, 0)], 2)
         x = Solution((F(0), F(0)))
-        assert reduce_support(s, x) == x
+        assert shrink_solution(s, x) == x
 
     def test_never_adds_support(self):
         rng = random.Random(47)
@@ -108,7 +110,7 @@ class TestReduceSupport:
                 coeffs = [F(rng.randint(-2, 2)) for _ in range(n)]
                 rows.append((coeffs, Rel.EQ, sum(c * v for c, v in zip(coeffs, x))))
             s = sys_of(rows, n)
-            out = reduce_support(s, Solution(x))
+            out = shrink_solution(s, Solution(x))
             assert satisfies(s, out.values)
             before = {i for i, v in enumerate(x) if v > 0}
             after = {i for i, v in enumerate(out.values) if v > 0}
@@ -164,6 +166,19 @@ class TestShrinkSolution:
         s = sys_of([([1], Rel.EQ, 1)], 1)
         with pytest.raises(ValueError):
             shrink_solution(s, Solution((F(2),)))
+
+    def test_feasible_solutions_are_fixed_points(self):
+        # feasible returns basic solutions, so shrinking one changes
+        # nothing; this is what keeps emitted models as solved
+        rng = random.Random(59)
+        seen_feasible = 0
+        for _ in range(300):
+            s = rand_feasibility_system(rng)
+            x = feasible(s)
+            if x is not None:
+                seen_feasible += 1
+                assert shrink_solution(integerize(s)[0], x) == x
+        assert seen_feasible > 50
 
     def test_theorem_properties_randomized(self):
         rng = random.Random(53)
