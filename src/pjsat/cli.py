@@ -83,10 +83,6 @@ def _read(path):
         return fh.read()
 
 
-def _strip_comments(text):
-    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-
-
 def _load_cs(args):
     if args.cs_path is None:
         return cspec.default_cs()
@@ -105,7 +101,7 @@ def _load_cs(args):
 
 def run(args) -> int:
     cs = _load_cs(args)
-    text = _strip_comments(_read(args.formula))
+    text = _read(args.formula)
 
     if args.command == "sat":
         f = parse_pformula(text)

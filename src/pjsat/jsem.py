@@ -29,6 +29,7 @@ from .syntax import (
     Var,
     atoms_of,
     DEFAULT_ATOM_CAP,
+    truth_test,
 )
 
 
@@ -113,20 +114,16 @@ class AtomContext:
 
     positives: tuple  # (Term, JFormula) pairs from positive assertions
     negatives: tuple  # (Term, JFormula) pairs from negated assertions
-    prop_signs: dict  # Prop index -> bool
     cs: ConstantSpec
 
     @classmethod
     def from_atom(cls, atom: Atom, cs: ConstantSpec):
         positives = []
         negatives = []
-        prop_signs = {}
         for basic, sign in atom.literals():
-            if isinstance(basic, Prop):
-                prop_signs[basic.index] = sign
-            else:
+            if isinstance(basic, Assert):
                 (positives if sign else negatives).append((basic.term, basic.body))
-        return cls(tuple(positives), tuple(negatives), prop_signs, cs)
+        return cls(tuple(positives), tuple(negatives), cs)
 
 
 def derives(ctx: AtomContext, t, phi, subst=None, fresh=None):
@@ -182,22 +179,13 @@ def atom_jsat(atom: Atom, cs: ConstantSpec) -> bool:
 
 def eval_under_atom(phi, atom: Atom) -> bool:
     """Truth value of phi under the atom's literal assignment."""
-    signs = atom.sign_map()
-
-    def go(f):
-        if isinstance(f, (Prop, Assert)):
-            if f not in signs:
-                raise BasisMismatchError(
-                    f"basic subformula not in atom basis: {f}"
-                )
-            return signs[f]
-        if isinstance(f, JNot):
-            return not go(f.body)
-        if isinstance(f, JAnd):
-            return go(f.left) and go(f.right)
-        raise TypeError(f"not a justification formula: {f!r}")
-
-    return go(phi)
+    try:
+        test = truth_test(phi, {b: i for i, b in enumerate(atom.basis)})
+    except KeyError as exc:
+        raise BasisMismatchError(
+            f"basic subformula not in atom basis: {exc.args[0]}"
+        ) from None
+    return test(atom.signs)
 
 
 def jformula_sat(alpha, cs: ConstantSpec, cap: int = DEFAULT_ATOM_CAP) -> bool:

@@ -7,6 +7,11 @@ atom a basic evaluation can satisfy, translate each disjunct into an exact
 linear system over those atoms' weights, and turn the first feasible
 system's solution into a small model with few worlds and small rational
 weights.
+
+Both levels of Boolean structure are evaluated by one compiled test,
+``syntax.truth_test``: the formula over the truth values of its
+probability literals (in the DNF and in the model check), and each
+literal body over an atom's signs.
 """
 
 from __future__ import annotations
@@ -41,9 +46,11 @@ from .syntax import (
     basis_of,
     parse_jformula,
     rat_str,
+    preorder,
     size_p,
     weight_size_bound,
     size_rat,
+    truth_test,
 )
 
 
@@ -61,28 +68,7 @@ class PDnf:
 
 def _p_occurrences(f: PFormula):
     """Distinct AtLeast subformulas in left-to-right traversal order."""
-    seen = []
-
-    def walk(g):
-        if isinstance(g, AtLeast):
-            if g not in seen:
-                seen.append(g)
-        elif isinstance(g, PNot):
-            walk(g.body)
-        else:
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
-    return seen
-
-
-def _eval_boolean(f: PFormula, assignment) -> bool:
-    if isinstance(f, AtLeast):
-        return assignment[f]
-    if isinstance(f, PNot):
-        return not _eval_boolean(f.body, assignment)
-    return _eval_boolean(f.left, assignment) and _eval_boolean(f.right, assignment)
+    return list(dict.fromkeys(g for g in preorder(f) if isinstance(g, AtLeast)))
 
 
 def p_dnf(f: PFormula) -> PDnf:
@@ -93,36 +79,16 @@ def p_dnf(f: PFormula) -> PDnf:
     f is truth-functionally unsatisfiable over its occurrences.
     """
     occs = _p_occurrences(f)
+    test = truth_test(f, {occ: i for i, occ in enumerate(occs)})
     disjuncts = []
     for bits in itertools.product((True, False), repeat=len(occs)):
-        assignment = dict(zip(occs, bits))
-        if _eval_boolean(f, assignment):
+        if test(bits):
             conj = tuple(
                 PLiteral(occ.body, Rel.GE if bit else Rel.LT, occ.threshold)
                 for occ, bit in zip(occs, bits)
             )
             disjuncts.append(conj)
     return PDnf(tuple(disjuncts))
-
-
-def _signature_fn(bodies, basis):
-    """Compile the bodies into one function from an atom's signs to its
-    signature: the tuple of the bodies' truth values under the atom, which
-    is all of the atom that the linear systems see."""
-    index = {b: i for i, b in enumerate(basis)}
-
-    def test_of(g):
-        if isinstance(g, (Prop, Assert)):
-            i = index[g]
-            return lambda signs: signs[i]
-        if isinstance(g, JNot):
-            body = test_of(g.body)
-            return lambda signs: not body(signs)
-        left, right = test_of(g.left), test_of(g.right)
-        return lambda signs: left(signs) and right(signs)
-
-    tests = [test_of(b) for b in bodies]
-    return lambda signs: tuple([t(signs) for t in tests])
 
 
 def build_system(conj, sat_atoms) -> LinearSystem:
@@ -162,15 +128,9 @@ def check_model(model: SmallModel, f: PFormula) -> bool:
     needed = set(basis_of(f))
     if not needed <= set(model.basis):
         raise BasisMismatchError("model basis does not cover the formula")
-
-    def go(g):
-        if isinstance(g, AtLeast):
-            return model.measure(g.body) >= g.threshold
-        if isinstance(g, PNot):
-            return not go(g.body)
-        return go(g.left) and go(g.right)
-
-    return go(f)
+    occs = _p_occurrences(f)
+    test = truth_test(f, {occ: i for i, occ in enumerate(occs)})
+    return test([model.measure(occ.body) >= occ.threshold for occ in occs])
 
 
 def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec = None):
@@ -223,11 +183,12 @@ def solve_sat(
     shrunk solution and re-verified before being returned.
     """
     basis = basis_of(f)
+    index = {b: i for i, b in enumerate(basis)}
     bodies = dict.fromkeys(occ.body for occ in _p_occurrences(f))
-    signature = _signature_fn(bodies, basis)
+    tests = [truth_test(body, index) for body in bodies]
     reps = {}
     for a in atoms_of(f, cap):
-        key = signature(a.signs)
+        key = tuple([test(a.signs) for test in tests])
         if key not in reps and atom_jsat(a, cs):
             reps[key] = a
     sat_atoms = list(reps.values())

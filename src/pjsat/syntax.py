@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -393,20 +394,38 @@ def parse_term(text: str) -> Term:
 
 # --- structural measures ---
 
+def preorder(f):
+    """Yield the subformula occurrences of f, each before its children and
+    left before right; mixes both languages for probability formulas."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (JAnd, PAnd)):
+            stack += (g.right, g.left)
+        elif isinstance(g, (JNot, PNot, Assert, AtLeast)):
+            stack.append(g.body)
+        elif not isinstance(g, Prop):
+            raise TypeError(f"not a formula: {g!r}")
+        yield g
+
+
 def subf(f):
-    """The recursively defined subformula set; mixes both languages for
-    probability formulas."""
-    if isinstance(f, Prop):
-        return frozenset({f})
+    """The subformula set."""
+    return frozenset(preorder(f))
+
+
+def truth_test(f, index):
+    """Compile the Boolean structure of f into a predicate over a sequence
+    of truth values.  Negation and conjunction of either language are the
+    connectives; any other node is a leaf, read at position ``index[node]``
+    (a KeyError when the leaf is not in ``index``)."""
     if isinstance(f, (JNot, PNot)):
-        return frozenset({f}) | subf(f.body)
+        body = truth_test(f.body, index)
+        return lambda values: not body(values)
     if isinstance(f, (JAnd, PAnd)):
-        return frozenset({f}) | subf(f.left) | subf(f.right)
-    if isinstance(f, Assert):
-        return frozenset({f}) | subf(f.body)
-    if isinstance(f, AtLeast):
-        return frozenset({f}) | subf(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+        left, right = truth_test(f.left, index), truth_test(f.right, index)
+        return lambda values: left(values) and right(values)
+    return operator.itemgetter(index[f])
 
 
 def basis_of(f):
@@ -440,9 +459,6 @@ class Atom:
             raise ValueError("basis and signs lengths differ")
         if len(set(self.basis)) != len(self.basis):
             raise ValueError("basis entries must be pairwise distinct")
-
-    def sign_map(self):
-        return dict(zip(self.basis, self.signs))
 
     def literals(self):
         return tuple(zip(self.basis, self.signs))

@@ -49,6 +49,15 @@ def atom(basis, signs):
     return Atom(tuple(basis), tuple(signs))
 
 
+def _eval_boolean(f, assignment) -> bool:
+    """Reference P-level evaluator over a dict keyed by AtLeast nodes."""
+    if isinstance(f, AtLeast):
+        return assignment[f]
+    if isinstance(f, PNot):
+        return not _eval_boolean(f.body, assignment)
+    return _eval_boolean(f.left, assignment) and _eval_boolean(f.right, assignment)
+
+
 class TestPDnf:
     def test_single_literal(self):
         d = p_dnf(parse_pformula("P>=1/2 p1"))
@@ -71,7 +80,7 @@ class TestPDnf:
         rng = random.Random(61)
         for _ in range(60):
             f = rand_pformula(rng, depth=3)
-            from pjsat.solver import _eval_boolean, _p_occurrences
+            from pjsat.solver import _p_occurrences
 
             occs = _p_occurrences(f)
             d = p_dnf(f)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,7 +33,12 @@ from pjsat.syntax import (
     size_rat,
     subf,
     term_str,
+    truth_test,
 )
+from pjsat.solver import _p_occurrences
+
+from _gen import rand_atom_for, rand_jformula, rand_pformula
+from _oracles import tt_eval
 
 
 class TestParsing:
@@ -246,3 +252,45 @@ class TestAtomDistinctness:
         for _ in range(50):
             a, b = rng.sample(atoms, 2)
             assert a.signs != b.signs
+
+
+def _dict_eval(f, assignment):
+    """Reference evaluator over a dict from leaves to truth values."""
+    if isinstance(f, (JNot, PNot)):
+        return not _dict_eval(f.body, assignment)
+    if isinstance(f, (JAnd, PAnd)):
+        return _dict_eval(f.left, assignment) and _dict_eval(f.right, assignment)
+    return assignment[f]
+
+
+class TestTruthTest:
+    def test_jformula_matches_truth_table_oracle(self):
+        rng = random.Random(83)
+        for _ in range(200):
+            phi = rand_jformula(rng, depth=3)
+            atom = rand_atom_for(rng, phi)
+            index = {b: i for i, b in enumerate(atom.basis)}
+            assert truth_test(phi, index)(atom.signs) == tt_eval(phi, atom)
+
+    def test_pformula_matches_dict_reference(self):
+        rng = random.Random(89)
+        for _ in range(60):
+            f = rand_pformula(rng, depth=3)
+            occs = _p_occurrences(f)
+            test = truth_test(f, {occ: i for i, occ in enumerate(occs)})
+            for bits in itertools.product((True, False), repeat=len(occs)):
+                assert test(bits) == _dict_eval(f, dict(zip(occs, bits)))
+
+    def test_leaf_outside_index(self):
+        with pytest.raises(KeyError):
+            truth_test(parse_jformula("p1 & ~t:p2"), {Prop(1): 0})
+        with pytest.raises(KeyError):
+            truth_test(parse_pformula("~P>=1/2 p1"), {})
+
+    def test_p_occurrences_in_first_occurrence_order(self):
+        f = parse_pformula("~(P>=1/2 p2 & P>=1 p1) & P>=1/2 p2 & P>=0 p3")
+        assert _p_occurrences(f) == [
+            parse_pformula("P>=1/2 p2"),
+            parse_pformula("P>=1 p1"),
+            parse_pformula("P>=0 p3"),
+        ]
