@@ -17,13 +17,14 @@ import argparse
 import sys
 
 from . import cspec, solver
-from .jsem import atom_jsat, jformula_sat
+from .jsem import jformula_sat, jsat_test
 from .linrat import system_str
 from .syntax import (
     DEFAULT_ATOM_CAP,
     EnumerationLimitError,
     ParseError,
     atoms_of,
+    basis_of,
     parse_jformula,
     parse_pformula,
 )
@@ -134,8 +135,9 @@ def run(args) -> int:
             f = parse_pformula(text)
         except ParseError:
             f = parse_jformula(text)
+        jsat = jsat_test(basis_of(f), cs)
         for i, atom in enumerate(atoms_of(f, cap=args.cap), 1):
-            verdict = "jsat" if atom_jsat(atom, cs) else "junsat"
+            verdict = "jsat" if jsat(atom.signs) else "junsat"
             print(f"atom {i} {verdict}: {atom}")
         return EXIT_TRUE
 

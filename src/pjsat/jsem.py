@@ -8,6 +8,11 @@ sum conditions, and the atom is satisfiable iff none of its negated
 assertions falls inside that closure.  Membership is decided by a
 goal-directed search over the term structure, with first-order unification
 over the two-sorted pattern language (formula and term metavariables).
+
+The filter is compiled once per formula (``jsat_test``): the search for a
+negated assertion reads only the positives on the terms it visits, so
+each verdict is decided once per sign pattern of those assertions and
+reused across every atom of the formula.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .syntax import (
     Sum,
     Var,
     atoms_of,
+    basis_of,
     DEFAULT_ATOM_CAP,
     truth_test,
 )
@@ -164,33 +170,82 @@ def derives(ctx: AtomContext, t, phi, subst=None, fresh=None):
         yield from derives(ctx, t.right, phi, subst, fresh)
 
 
-def atom_jsat(atom: Atom, cs: ConstantSpec) -> bool:
-    """Is the atom satisfiable by some basic evaluation under cs?
+def _visited_terms(t):
+    """The terms whose positives ``derives(ctx, t, ...)`` can read: t and,
+    through application and sum (not '!'), their parts."""
+    if isinstance(t, (App, Sum)):
+        return {t} | _visited_terms(t.left) | _visited_terms(t.right)
+    return {t}
 
-    True iff no negated assertion is forced by the minimal closure of the
-    positive assertions.  Propositional literals never conflict.
+
+def jsat_test(basis, cs: ConstantSpec):
+    """Compile J-satisfiability over a basis into a predicate over sign
+    tuples: True iff no negated assertion is forced by the minimal closure
+    of the positive assertions.  Propositional literals never conflict.
+
+    A negated ``t:phi`` at position j is forced or not depending only on
+    the signs of its reads, the assertions whose term ``derives`` visits
+    from t.  The predicate decides each (j, signs at j's reads) once, on a
+    context holding only those positives, and remembers the verdict for
+    as long as the predicate lives.
     """
-    ctx = AtomContext.from_atom(atom, cs)
-    for s, gamma in ctx.negatives:
-        if next(derives(ctx, s, gamma), None) is not None:
-            return False
-    return True
+    asserts = [(j, b) for j, b in enumerate(basis) if isinstance(b, Assert)]
+    checks = []
+    for j, b in asserts:
+        visited = _visited_terms(b.term)
+        checks.append((j, b, tuple(i for i, c in asserts if c.term in visited)))
+    forced = {}
+
+    def test(signs):
+        for j, b, reads in checks:
+            if signs[j]:
+                continue
+            key = (j, tuple([signs[i] for i in reads]))
+            verdict = forced.get(key)
+            if verdict is None:
+                positives = tuple(
+                    (basis[i].term, basis[i].body) for i in reads if signs[i]
+                )
+                ctx = AtomContext(positives, (), cs)
+                verdict = next(derives(ctx, b.term, b.body), None) is not None
+                forced[key] = verdict
+            if verdict:
+                return False
+        return True
+
+    return test
 
 
-def eval_under_atom(phi, atom: Atom) -> bool:
-    """Truth value of phi under the atom's literal assignment."""
+def atom_jsat(atom: Atom, cs: ConstantSpec) -> bool:
+    """Is the atom satisfiable by some basic evaluation under cs?"""
+    return jsat_test(atom.basis, cs)(atom.signs)
+
+
+def truth_values(phi, atoms):
+    """phi's truth value under each atom, compiled once over the basis
+    that every atom shares."""
+    if not atoms:
+        return []
+    basis = atoms[0].basis
+    if any(a.basis != basis for a in atoms):
+        raise BasisMismatchError("atoms are over different bases")
     try:
-        test = truth_test(phi, {b: i for i, b in enumerate(atom.basis)})
+        holds = truth_test(phi, {b: i for i, b in enumerate(basis)})
     except KeyError as exc:
         raise BasisMismatchError(
             f"basic subformula not in atom basis: {exc.args[0]}"
         ) from None
-    return test(atom.signs)
+    return [holds(a.signs) for a in atoms]
+
+
+def eval_under_atom(phi, atom: Atom) -> bool:
+    """Truth value of phi under the atom's literal assignment."""
+    return truth_values(phi, [atom])[0]
 
 
 def jformula_sat(alpha, cs: ConstantSpec, cap: int = DEFAULT_ATOM_CAP) -> bool:
     """Satisfiability of a justification formula, by atom enumeration."""
-    return any(
-        eval_under_atom(alpha, a) and atom_jsat(a, cs)
-        for a in atoms_of(alpha, cap)
-    )
+    basis = basis_of(alpha)
+    holds = truth_test(alpha, {b: i for i, b in enumerate(basis)})
+    jsat = jsat_test(basis, cs)
+    return any(holds(a.signs) and jsat(a.signs) for a in atoms_of(alpha, cap))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cspec import ConstantSpec
-from .jsem import BasisMismatchError, atom_jsat, eval_under_atom
+from .jsem import BasisMismatchError, atom_jsat, jsat_test, truth_values
 from .linrat import (
     LinearSystem,
     Rel,
@@ -100,7 +100,7 @@ def build_system(conj, sat_atoms) -> LinearSystem:
     rows = [Row((one,) * n, Rel.EQ, one)]
     for lit in conj:
         coeffs = tuple(
-            one if eval_under_atom(lit.body, a) else zero for a in sat_atoms
+            one if v else zero for v in truth_values(lit.body, sat_atoms)
         )
         rows.append(Row(coeffs, lit.rel, lit.threshold))
     return LinearSystem(tuple(rows), n)
@@ -116,9 +116,9 @@ class SmallModel:
     basis: tuple
 
     def measure(self, body) -> Fraction:
+        values = truth_values(body, [a for a, _ in self.worlds])
         return sum(
-            (w for a, w in self.worlds if eval_under_atom(body, a)),
-            Fraction(0),
+            (w for (_, w), v in zip(self.worlds, values) if v), Fraction(0)
         )
 
 
@@ -186,10 +186,11 @@ def solve_sat(
     index = {b: i for i, b in enumerate(basis)}
     bodies = dict.fromkeys(occ.body for occ in _p_occurrences(f))
     tests = [truth_test(body, index) for body in bodies]
+    jsat = jsat_test(basis, cs)
     reps = {}
     for a in atoms_of(f, cap):
         key = tuple([test(a.signs) for test in tests])
-        if key not in reps and atom_jsat(a, cs):
+        if key not in reps and jsat(a.signs):
             reps[key] = a
     sat_atoms = list(reps.values())
     for conj in p_dnf(f).disjuncts:

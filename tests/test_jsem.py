@@ -10,6 +10,7 @@ from pjsat.jsem import (
     derives,
     eval_under_atom,
     jformula_sat,
+    jsat_test,
     unify,
 )
 from pjsat.syntax import (
@@ -156,6 +157,51 @@ class TestAtomJsat:
                         for b, s in relaxed.literals()
                     )
         assert flips > 0
+
+
+def reference_jsat(atom, cs):
+    """Per-atom J-satisfiability: the whole atom's context, one derivation
+    search per negated assertion."""
+    ctx = AtomContext.from_atom(atom, cs)
+    return all(next(derives(ctx, s, gamma), None) is None for s, gamma in ctx.negatives)
+
+
+SHARED_TERMS = tuple(parse_term(t) for t in ("s", "t", "s.t", "t+s", "(s.t)+u", "!t"))
+
+
+def shared_term_jformula(rng):
+    """A conjunction of two to four assertions over terms that share
+    subterms, with bodies drawn from two random formulas a, b and the
+    implications a -> b and b -> a (so application and TAUT1 can fire);
+    its basis has at most 6 entries."""
+    while True:
+        a, b = rand_jformula(rng, 2, props=2), rand_jformula(rng, 1, props=2)
+        bodies = (a, b, jimp(a, b), jimp(b, a))
+        phi = Assert(rng.choice(SHARED_TERMS), rng.choice(bodies))
+        for _ in range(rng.randint(1, 3)):
+            phi = JAnd(phi, Assert(rng.choice(SHARED_TERMS), rng.choice(bodies)))
+        if len(basis_of(phi)) <= 6:
+            return phi
+
+
+class TestJsatTest:
+    @pytest.mark.parametrize(
+        "cs",
+        [CS0, default_cs(), ConstantSpec(schematic={"s": frozenset({"TAUT1"})})],
+        ids=["CS0", "default_cs", "s_taut1"],
+    )
+    def test_matches_per_atom_reference(self, cs):
+        rng = random.Random(37)
+        junsat = 0
+        for _ in range(100):
+            phi = shared_term_jformula(rng)
+            atoms = list(atoms_of(phi))
+            expected = [reference_jsat(a, cs) for a in atoms]
+            jsat = jsat_test(basis_of(phi), cs)
+            assert [jsat(a.signs) for a in atoms] == expected, phi
+            assert [jsat(a.signs) for a in reversed(atoms)] == expected[::-1], phi
+            junsat += expected.count(False)
+        assert junsat > 0
 
 
 class TestEvalUnderAtom:

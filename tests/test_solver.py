@@ -137,6 +137,16 @@ class TestBuildSystem:
 
         assert feasible(s) is None
 
+    def test_body_outside_basis(self):
+        atoms = list(atoms_of(parse_pformula("P>=1/2 p1")))
+        with pytest.raises(BasisMismatchError):
+            build_system([PLiteral(Prop(2), Rel.GE, F(1, 2))], atoms)
+        with pytest.raises(BasisMismatchError):
+            model_of((atoms[0], F(1))).measure(Prop(2))
+        other = atom(basis_of(parse_pformula("P>=1/2 p2")), (True,))
+        with pytest.raises(BasisMismatchError):
+            build_system([PLiteral(Prop(1), Rel.GE, F(1, 2))], atoms + [other])
+
 
 class TestSolveSat:
     def test_split_mass(self):
