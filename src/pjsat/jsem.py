@@ -32,9 +32,9 @@ from .syntax import (
     Prop,
     Sum,
     Var,
-    atoms_of,
     basis_of,
     DEFAULT_ATOM_CAP,
+    sign_tuples,
     truth_test,
 )
 
@@ -248,4 +248,4 @@ def jformula_sat(alpha, cs: ConstantSpec, cap: int = DEFAULT_ATOM_CAP) -> bool:
     basis = basis_of(alpha)
     holds = truth_test(alpha, {b: i for i, b in enumerate(basis)})
     jsat = jsat_test(basis, cs)
-    return any(holds(a.signs) and jsat(a.signs) for a in atoms_of(alpha, cap))
+    return any(holds(s) and jsat(s) for s in sign_tuples(basis, cap))

@@ -4,11 +4,12 @@ Systems are rows of rational coefficients with relations {=, <=, >=, <}
 over implicitly non-negative variables.  Feasibility runs an exact
 two-phase simplex with Bland's rule, its objective row kept in the
 tableau; strict rows are handled by maximizing a slack epsilon.
-``shrink_solution`` turns any non-negative solution into one with few
-positive entries and certified entry sizes: it pins every row at the
-solution's value, restricts the system to the solution's support and
-reruns phase 1 there, which ends at a basic solution.  ``_pivot`` is the
-only elimination step in the module.
+``feasible`` returns a basic solution, which the solver takes as its
+model.  ``shrink_solution`` turns any non-negative solution into a basic
+one with few positive entries and certified entry sizes: it pins every
+row at the solution's value, restricts the system to the solution's
+support and reruns phase 1 there.  ``_pivot`` is the only elimination
+step in the module.
 """
 
 from __future__ import annotations
@@ -203,6 +204,7 @@ def _lp_max(rows, n, objective):
 
 def feasible(system: LinearSystem):
     """A non-negative exact solution (strict rows strictly), or None.
+    It is basic: its positive entries sit on independent columns.
 
     Strict rows are rewritten as <= rhs - eps and a single slack eps,
     bounded by 1, is maximized; the system is feasible iff the optimum

@@ -1,12 +1,13 @@
 """The decision procedure for probability formulas over justification logic.
 
 Satisfiability goes through four stages: rewrite the formula into a DNF
-over probability literals, enumerate the atoms of the formula and keep,
-for each signature (the truth values of the literal bodies), the first
-atom a basic evaluation can satisfy, translate each disjunct into an exact
-linear system over those atoms' weights, and turn the first feasible
-system's solution into a small model with few worlds and small rational
-weights.
+over probability literals, walk the sign tuples over the formula's basis
+and keep, for each signature (the truth values of the literal bodies),
+the first one a basic evaluation can satisfy as an atom, translate each
+disjunct into an exact linear system over those atoms' weights, and read
+the model off the first feasible system's solution.  The simplex returns
+a basic solution, so the model has at most one world per row and weights
+of certified size; ``certify_model`` checks both on every model.
 
 Both levels of Boolean structure are evaluated by one compiled test,
 ``syntax.truth_test``: the formula over the truth values of its
@@ -23,14 +24,7 @@ from fractions import Fraction
 
 from .cspec import ConstantSpec
 from .jsem import BasisMismatchError, atom_jsat, jsat_test, truth_values
-from .linrat import (
-    LinearSystem,
-    Rel,
-    Row,
-    feasible,
-    integerize,
-    shrink_solution,
-)
+from .linrat import LinearSystem, Rel, Row, feasible
 from .syntax import (
     Assert,
     AtLeast,
@@ -42,11 +36,11 @@ from .syntax import (
     PNot,
     ParseError,
     Prop,
-    atoms_of,
     basis_of,
     parse_jformula,
     rat_str,
     preorder,
+    sign_tuples,
     size_p,
     weight_size_bound,
     size_rat,
@@ -175,12 +169,13 @@ def solve_sat(
 ):
     """SAT with a small-model witness (a SmallModel), or None for UNSAT.
 
-    Atoms with the same signature give identical columns, so each
-    signature keeps one column: its first J-satisfiable atom in
-    enumeration order.  Atoms of a signature that already has one are not
-    J-checked.  Disjuncts of the DNF are tried in order; the first
-    feasible linear system wins.  The emitted model is rebuilt from the
-    shrunk solution and re-verified before being returned.
+    Sign tuples with the same signature give identical columns, so each
+    signature keeps one column: its first J-satisfiable sign tuple in
+    enumeration order, the only one made into an Atom.  Sign tuples of a
+    signature that already has one are not J-checked.  Disjuncts of the
+    DNF are tried in order; the first feasible linear system wins.  Its
+    basic solution is the model, one world per positive weight, and is
+    certified before being returned.
     """
     basis = basis_of(f)
     index = {b: i for i, b in enumerate(basis)}
@@ -188,10 +183,10 @@ def solve_sat(
     tests = [truth_test(body, index) for body in bodies]
     jsat = jsat_test(basis, cs)
     reps = {}
-    for a in atoms_of(f, cap):
-        key = tuple([test(a.signs) for test in tests])
-        if key not in reps and jsat(a.signs):
-            reps[key] = a
+    for signs in sign_tuples(basis, cap):
+        key = tuple([test(signs) for test in tests])
+        if key not in reps and jsat(signs):
+            reps[key] = Atom(basis, signs)
     sat_atoms = list(reps.values())
     for conj in p_dnf(f).disjuncts:
         system = build_system(conj, sat_atoms)
@@ -200,11 +195,7 @@ def solve_sat(
         sol = feasible(system)
         if sol is None:
             continue
-        int_system, _ = integerize(system)
-        small = shrink_solution(int_system, sol)
-        worlds = tuple(
-            (a, w) for a, w in zip(sat_atoms, small.values) if w > 0
-        )
+        worlds = tuple((a, w) for a, w in zip(sat_atoms, sol.values) if w > 0)
         model = SmallModel(worlds, basis)
         problems = certify_model(model, f, cs)
         if problems:
@@ -269,6 +260,8 @@ def parse_model(text: str, f: PFormula) -> SmallModel:
         for basic, sign in _conjunct_literals(conj):
             if basic not in index:
                 raise ModelFormatError(f"atom literal outside basis: {basic}")
+            if signs[index[basic]] is not None:
+                raise ModelFormatError(f"atom names {basic} twice")
             signs[index[basic]] = sign
         if any(s is None for s in signs):
             raise ModelFormatError("atom does not cover the formula basis")

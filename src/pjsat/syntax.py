@@ -474,17 +474,23 @@ class Atom:
 DEFAULT_ATOM_CAP = 20
 
 
-def atoms_of(f, cap: int = DEFAULT_ATOM_CAP):
-    """Yield all 2^|basis| atoms of f, each exactly once, in a fixed order."""
-    basis = basis_of(f)
+def sign_tuples(basis, cap: int = DEFAULT_ATOM_CAP):
+    """An iterator over all 2^|basis| sign tuples, each exactly once, in a
+    fixed order.  An empty basis or one past the cap is refused when this
+    is called, before any tuple is made."""
     if len(basis) == 0:
         raise ValueError("formula has no basic subformulas")
     if len(basis) > cap:
         raise EnumerationLimitError(
             f"basis has {len(basis)} entries, enumeration cap is {cap}"
         )
-    for signs in itertools.product((True, False), repeat=len(basis)):
-        yield Atom(basis, signs)
+    return itertools.product((True, False), repeat=len(basis))
+
+
+def atoms_of(f, cap: int = DEFAULT_ATOM_CAP):
+    """All 2^|basis| atoms of f, one per ``sign_tuples`` entry, in its order."""
+    basis = basis_of(f)
+    return (Atom(basis, signs) for signs in sign_tuples(basis, cap))
 
 
 def size_p(f: PFormula) -> int:

@@ -6,19 +6,23 @@ an independent oracle in _oracles.py or from a property that holds by
 construction; nothing is checked against the code under test itself.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 from pjsat.cspec import default_cs
 from pjsat.jsem import atom_jsat, eval_under_atom, jformula_sat
-from pjsat.linrat import integerize, satisfies, shrink_bound, shrink_solution, Solution
-from pjsat.solver import (
-    build_system,
-    check_model,
-    lift_to_p1,
-    p_dnf,
-    solve_sat,
+from pjsat.linrat import (
+    LinearSystem,
+    Rel,
+    Row,
+    Solution,
+    integerize,
+    satisfies,
+    shrink_bound,
+    shrink_solution,
 )
+from pjsat.solver import check_model, lift_to_p1, solve_sat
 from pjsat.syntax import (
     App,
     Assert,
@@ -30,7 +34,6 @@ from pjsat.syntax import (
     PAnd,
     PNot,
     Prop,
-    atoms_of,
     basis_of,
     jimp,
     size_p,
@@ -124,26 +127,67 @@ def _build_corpus():
     return corpus
 
 
-_SAT_ATOMS_CACHE = {}
+# --- an independent translation for the elimination oracle ---
+#
+# It shares only the syntax tree and the system record with the solver:
+# its own P-level evaluator, atoms from itertools.product filtered by the
+# saturation oracle, body truth by truth tables, and rows built here.
+
+def _occurrences(f):
+    if isinstance(f, AtLeast):
+        return {f}
+    if isinstance(f, PNot):
+        return _occurrences(f.body)
+    return _occurrences(f.left) | _occurrences(f.right)
 
 
-def _sat_atoms(f):
-    basis = basis_of(f)
-    if basis not in _SAT_ATOMS_CACHE:
-        _SAT_ATOMS_CACHE[basis] = [
-            a for a in atoms_of(f) if atom_jsat(a, CS)
-        ]
-    return _SAT_ATOMS_CACHE[basis]
+def _p_holds(f, assignment):
+    if isinstance(f, AtLeast):
+        return assignment[f]
+    if isinstance(f, PNot):
+        return not _p_holds(f.body, assignment)
+    return _p_holds(f.left, assignment) and _p_holds(f.right, assignment)
+
+
+def _basics(g, out):
+    if isinstance(g, (Prop, Assert)):
+        out.add(g)
+    if isinstance(g, (AtLeast, PNot, JNot, Assert)):
+        _basics(g.body, out)
+    elif isinstance(g, (PAnd, JAnd)):
+        _basics(g.left, out)
+        _basics(g.right, out)
+    return out
+
+
+_JSAT_ATOMS_CACHE = {}
+
+
+def _jsat_atoms(f):
+    basis = tuple(sorted(_basics(f, set()), key=str))
+    if basis not in _JSAT_ATOMS_CACHE:
+        signs = itertools.product((True, False), repeat=len(basis))
+        atoms = (Atom(basis, s) for s in signs)
+        _JSAT_ATOMS_CACHE[basis] = [a for a in atoms if jsat_oracle(a, CS)]
+    return _JSAT_ATOMS_CACHE[basis]
 
 
 def _oracle_sat(f):
-    """Feasibility of the same per-disjunct atom systems, decided by
-    Fourier-Motzkin elimination instead of simplex."""
-    sat_atoms = _sat_atoms(f)
-    return any(
-        fm_feasible(build_system(conj, sat_atoms))
-        for conj in p_dnf(f).disjuncts
-    )
+    """Satisfiability by a translation of the oracle's own, with each
+    minterm's atom system decided by Fourier-Motzkin elimination."""
+    atoms = _jsat_atoms(f)
+    occs = list(_occurrences(f))
+    one, zero = F(1), F(0)
+    for bits in itertools.product((True, False), repeat=len(occs)):
+        if not _p_holds(f, dict(zip(occs, bits))):
+            continue
+        rows = [Row((one,) * len(atoms), Rel.EQ, one)]
+        for occ, bit in zip(occs, bits):
+            coeffs = tuple(one if tt_eval(occ.body, a) else zero for a in atoms)
+            rows.append(Row(coeffs, Rel.GE if bit else Rel.LT, occ.threshold))
+        if fm_feasible(LinearSystem(tuple(rows), len(atoms))):
+            return True
+    return False
 
 
 _CORPUS_RESULTS = None

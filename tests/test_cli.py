@@ -123,6 +123,18 @@ class TestCheck:
         m = write(tmp_path, "m.out", "who knows\n")
         assert main(["check", f, "--model", m]) == 2
 
+    def test_repeated_atom_literal_exit_two(self, tmp_path, capsys):
+        # the world atom names p1 twice; neither sign may silently win
+        f = write(tmp_path, "f.pj", "P>=1 ~p1\n")
+        m = write(
+            tmp_path, "m.out",
+            "SAT\nworld 1 weight 1 atom p1 & ~p1\ncheck PASS\n",
+        )
+        assert main(["check", f, "--model", m]) == 2
+        captured = capsys.readouterr()
+        assert "check PASS" not in captured.out
+        assert "error:" in captured.err
+
 
 class TestCsLoading:
     def test_custom_cs_changes_verdict(self, tmp_path, capsys):

@@ -184,6 +184,23 @@ class TestSolveSat:
         assert sats > 5
 
 
+    def test_models_are_basic_solutions(self):
+        # a basic solution's positive weights sit on independent columns,
+        # so a model has at most one world per row of its system
+        rng = random.Random(79)
+        sats = 0
+        for _ in range(60):
+            f = rand_pformula(rng, depth=3, body_depth=2)
+            if len(basis_of(f)) > 8:
+                continue
+            systems = []
+            m = solve_sat(f, CS, on_system=systems.append)
+            if m is not None:
+                sats += 1
+                assert len(m.worlds) <= len(systems[-1].rows), f
+        assert sats > 10
+
+
 def overlapping_pformula(rng, literals=4):
     """P-literals over a pool of three bodies, one of them an application
     trap so that some atoms are J-unsatisfiable: bodies repeat across

@@ -29,6 +29,7 @@ from pjsat.syntax import (
     parse_pformula,
     parse_term,
     pformula_str,
+    sign_tuples,
     size_p,
     size_rat,
     subf,
@@ -214,6 +215,29 @@ class TestAtoms:
         with pytest.raises(EnumerationLimitError):
             list(atoms_of(f, cap=4))
         assert len(list(atoms_of(f, cap=5))) == 32
+
+    def test_sign_tuples_order(self):
+        rng = random.Random(97)
+        for _ in range(40):
+            f = rand_pformula(rng, depth=2)
+            basis = basis_of(f)
+            if len(basis) > 8:
+                continue
+            tuples = list(sign_tuples(basis))
+            assert tuples == list(
+                itertools.product((True, False), repeat=len(basis))
+            )
+            assert tuples == [a.signs for a in atoms_of(f)]
+
+    def test_sign_tuples_refuse_when_called(self):
+        # no iteration: the checks must not wait for the first tuple
+        basis = basis_of(parse_jformula("p1 & p2 & p3"))
+        with pytest.raises(EnumerationLimitError):
+            sign_tuples(basis, cap=2)
+        with pytest.raises(ValueError):
+            sign_tuples((), cap=2)
+        with pytest.raises(EnumerationLimitError):
+            atoms_of(parse_jformula("p1 & p2 & p3"), cap=2)
 
     def test_atom_string_round_trips_by_signs(self):
         f = parse_jformula("p1 & t:p2")
