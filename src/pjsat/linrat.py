@@ -1,15 +1,15 @@
 """Exact-rational linear feasibility and small-solution machinery.
 
 Systems are rows of rational coefficients with relations {=, <=, >=, <}
-over implicitly non-negative variables.  Feasibility runs an exact
-two-phase simplex with Bland's rule, its objective row kept in the
-tableau; strict rows are handled by maximizing a slack epsilon.
-``feasible`` returns a basic solution, which the solver takes as its
-model.  ``shrink_solution`` turns any non-negative solution into a basic
-one with few positive entries and certified entry sizes: it pins every
-row at the solution's value, restricts the system to the solution's
-support and reruns phase 1 there.  ``_pivot`` is the only elimination
-step in the module.
+over implicitly non-negative variables.  ``feasible`` is the one simplex
+routine: exact, Bland's rule throughout, its objective row kept in the
+tableau.  Phase 1 always runs; phase 2, which maximizes a slack epsilon,
+runs only when some row is strict.  It returns a basic solution, which
+the solver takes as its model.  ``shrink_solution`` turns any
+non-negative solution into a basic one with few positive entries and
+certified entry sizes: it pins every row at the solution's value,
+restricts the system to the solution's support and calls ``feasible``
+there.  ``_pivot`` is the only elimination step in the module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .syntax import rat_str, size_int
+from .syntax import rat_str, shrink_bound, size_int  # noqa: F401 re-export
 
 
 class Rel(enum.Enum):
@@ -147,95 +147,80 @@ def _run_simplex(tableau, basis):
         _pivot(tableau, basis, leave, enter)
 
 
-def _lp_max(rows, n, objective):
-    """Maximize objective over {x >= 0 : rows hold}, rows with Rel.EQ/Rel.LE
-    only.  Returns an optimal basic x as a list of Fractions, or None if
-    infeasible."""
-    le_rows = [i for i, r in enumerate(rows) if r.rel is Rel.LE]
-    slack_of = {ri: n + k for k, ri in enumerate(le_rows)}
-    ns = len(le_rows)
-    m = len(rows)
-    art_start = n + ns
-    tableau = []
-    basis = []
-    for i, row in enumerate(rows):
-        line = [Fraction(c) for c in row.coeffs] + [Fraction(0)] * (ns + m)
-        if row.rel is Rel.LE:
-            line[slack_of[i]] = Fraction(1)
-        rhs = Fraction(row.rhs)
-        if rhs < 0:
-            line = [-v for v in line]
-            rhs = -rhs
-        line[art_start + i] = Fraction(1)
-        tableau.append(line + [rhs])
-        basis.append(art_start + i)
-
-    # phase 1: minimize the sum of artificials
-    _price_out(tableau, basis, [0] * art_start + [1] * m)
-    _run_simplex(tableau, basis)
-    if tableau[-1][-1] < 0:  # the artificials' sum stays positive
-        return None
-
-    # drive artificials out of the basis; drop redundant rows
-    i = 0
-    while i < len(basis):
-        if basis[i] >= art_start:
-            col = next(
-                (j for j in range(art_start) if tableau[i][j] != 0), None
-            )
-            if col is None:
-                del tableau[i]
-                del basis[i]
-                continue
-            _pivot(tableau, basis, i, col)
-        i += 1
-
-    # phase 2 without artificial columns or the phase-1 objective row
-    tableau = [line[:art_start] + [line[-1]] for line in tableau[:-1]]
-    _price_out(tableau, basis, [-c for c in objective] + [0] * ns)
-    _run_simplex(tableau, basis)
-
-    x = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = tableau[i][-1]
-    return x
-
-
 def feasible(system: LinearSystem):
     """A non-negative exact solution (strict rows strictly), or None.
     It is basic: its positive entries sit on independent columns.
 
-    Strict rows are rewritten as <= rhs - eps and a single slack eps,
-    bounded by 1, is maximized; the system is feasible iff the optimum
-    has eps > 0.
+    The tableau's columns are the variables, then a slack eps when some
+    row is strict, then one slack per non-equality row, then one
+    artificial per row.  A strict row ``a < b`` is written ``a + eps <= b``
+    and ``eps <= 1`` is added as the strict row ``0 < 1``.  Phase 1
+    minimizes the sum of artificials.  Without a strict row its basic
+    solution is the answer: phase 2's objective would be zero and every
+    drive-out pivot degenerate (right-hand side 0).  Otherwise the
+    artificials are driven out of the basis, rows left without a
+    non-artificial entry are dropped as redundant, and phase 2 maximizes
+    eps: the system is feasible iff the optimum has eps > 0.
     """
     n = system.var_count
-    strict = any(row.rel is Rel.LT for row in system.rows)
-    zero = Fraction(0)
-    rows = []
-    extra = 1 if strict else 0
-    for row in system.rows:
-        coeffs = list(row.coeffs) + [zero] * extra
-        rel, rhs = row.rel, row.rhs
-        if rel is Rel.GE:
-            coeffs = [-c for c in coeffs]
-            rel, rhs = Rel.LE, -rhs
-        elif rel is Rel.LT:
-            coeffs[n] = Fraction(1)
-            rel = Rel.LE
-        rows.append(Row(tuple(coeffs), rel, rhs))
-    if strict:
-        eps_bound = [zero] * n + [Fraction(1)]
-        rows.append(Row(tuple(eps_bound), Rel.LE, Fraction(1)))
-        objective = eps_bound
-    else:
-        objective = [zero] * n
+    one, zero = Fraction(1), Fraction(0)
+    eps = int(any(row.rel is Rel.LT for row in system.rows))
+    rows = tuple(system.rows) + (Row((zero,) * n, Rel.LT, one),) * eps
+    m = len(rows)
+    art = n + eps + sum(row.rel is not Rel.EQ for row in rows)
+    tableau = []
+    basis = []
+    slack = n + eps
+    for i, row in enumerate(rows):
+        # Every row is stored with a non-negative right-hand side.  A row
+        # a >= b reads -a + s = -b before that, so at b = 0 it is stored
+        # as -a + s = 0.
+        rhs = Fraction(row.rhs)
+        sign = -1 if rhs < 0 or (rhs == 0 and row.rel is Rel.GE) else 1
+        line = [Fraction(c) for c in row.coeffs]
+        if sign < 0:
+            line = [-c for c in line]
+        line += [zero] * (art - n + m)
+        line.append(abs(rhs))
+        unit = Fraction(sign)
+        if row.rel is Rel.LT:
+            line[n] = unit
+        if row.rel is not Rel.EQ:
+            line[slack] = -unit if row.rel is Rel.GE else unit
+            slack += 1
+        line[art + i] = one
+        tableau.append(line)
+        basis.append(art + i)
 
-    x = _lp_max(rows, n + extra, objective)
-    if x is None:
+    # phase 1: minimize the sum of artificials
+    _price_out(tableau, basis, [0] * art + [1] * m)
+    _run_simplex(tableau, basis)
+    if tableau[-1][-1] < 0:  # the artificials' sum stays positive
         return None
-    if strict and x[n] <= 0:
+
+    if eps:
+        # drive artificials out of the basis; drop redundant rows
+        i = 0
+        while i < len(basis):
+            if basis[i] >= art:
+                col = next((j for j in range(art) if tableau[i][j] != 0), None)
+                if col is None:
+                    del tableau[i]
+                    del basis[i]
+                    continue
+                _pivot(tableau, basis, i, col)
+            i += 1
+        # phase 2 maximizes eps, without the artificial columns or the
+        # phase-1 objective row
+        tableau = [line[:art] + [line[-1]] for line in tableau[:-1]]
+        _price_out(tableau, basis, [0] * n + [-1] + [0] * (art - n - 1))
+        _run_simplex(tableau, basis)
+
+    x = [zero] * (n + eps)
+    for i, b in enumerate(basis):
+        if b < n + eps:
+            x[b] = tableau[i][-1]
+    if eps and x[n] <= 0:
         return None
     sol = Solution(tuple(x[:n]))
     if not satisfies(system, sol.values):
@@ -259,23 +244,17 @@ def integerize(system: LinearSystem):
     return LinearSystem(tuple(out_rows), system.var_count), l
 
 
-def shrink_bound(r: int, l: int) -> float:
-    """Size cap on entries of a shrunk solution: 2*(r*l + r*log2(r) + 1)."""
-    if r == 0:
-        return 2.0
-    return 2 * (r * l + r * math.log2(r) + 1)
-
-
 def shrink_solution(system: LinearSystem, x: Solution) -> Solution:
     """Transform a non-negative solution into one with at most r positive
     entries, support nested in x's, and entries of certified size.
 
     Every row is pinned to an equality at x's value and the system is
-    restricted to x's support.  Phase 1 of the simplex on that system ends
-    at a basic solution: it solves a square nonsingular subsystem, so it
-    has at most r positive entries and entries of certified size.  When
-    x's support columns are independent, as for every solution that
-    ``feasible`` returns, that solution is x itself.
+    restricted to x's support.  ``feasible`` on that system, which has no
+    strict row and so runs phase 1 only, ends at a basic solution: it
+    solves a square nonsingular subsystem, so it has at most r positive
+    entries and entries of certified size.  When x's support columns are
+    independent, as for every solution that ``feasible`` returns, that
+    solution is x itself.
     """
     n = system.var_count
     values = x.values
@@ -287,7 +266,7 @@ def shrink_solution(system: LinearSystem, x: Solution) -> Solution:
         coeffs = tuple(row.coeffs[j] for j in support)
         value = sum(c * values[j] for c, j in zip(coeffs, support))
         pinned.append(Row(coeffs, Rel.EQ, value))
-    basic = _lp_max(pinned, len(support), [0] * len(support))
+    basic = feasible(LinearSystem(tuple(pinned), len(support))).values
     out = [Fraction(0)] * n
     for j, v in zip(support, basic):
         out[j] = v

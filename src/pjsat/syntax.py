@@ -520,6 +520,14 @@ def size_rat(r: Fraction) -> int:
     return size_int(r.numerator) + size_int(r.denominator)
 
 
+def shrink_bound(r: int, l: int) -> float:
+    """Size cap on each entry of a basic solution of r integer rows whose
+    entries have size at most l: 2*(r*l + r*log2(r) + 1)."""
+    if r == 0:
+        return 2.0
+    return 2 * (r * l + r * math.log2(r) + 1)
+
+
 def norm(f: PFormula) -> int:
     """Max size over all thresholds occurring in f."""
     return max(size_rat(g.threshold) for g in subf(f) if isinstance(g, AtLeast))
@@ -527,5 +535,4 @@ def norm(f: PFormula) -> int:
 
 def weight_size_bound(f: PFormula) -> int:
     """Certified cap on the size of each world weight in a small model of f."""
-    n = size_p(f)
-    return math.floor(2 * (n * norm(f) + n * math.log2(n) + 1))
+    return math.floor(shrink_bound(size_p(f), norm(f)))

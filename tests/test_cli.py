@@ -1,3 +1,5 @@
+import pytest
+
 from pjsat.cli import main
 
 
@@ -25,12 +27,12 @@ class TestSat:
         assert main(["sat", f]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_cap_exceeded_exit_three(self, tmp_path, capsys):
-        f = write(
-            tmp_path, "f.pj",
-            "P>=1/2 (p1 & p2 & p3 & p4)\n",
-        )
-        assert main(["sat", f, "--cap", "3"]) == 3
+    @pytest.mark.parametrize("command", ["sat", "valid", "atoms", "jsat"])
+    def test_cap_exceeded_exit_three(self, tmp_path, capsys, command):
+        body = "p1 & p2 & p3 & p4"
+        text = body if command == "jsat" else f"P>=1/2 ({body})"
+        f = write(tmp_path, "f.pj", text + "\n")
+        assert main([command, f, "--cap", "3"]) == 3
         assert "error:" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):

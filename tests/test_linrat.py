@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pjsat.linrat import (
+    LinearSystem,
     Rel,
     Row,
     Solution,
@@ -69,6 +70,44 @@ class TestFeasible:
                 seen_feasible += 1
                 assert satisfies(s, sol.values)
         assert seen_feasible > 50
+
+    def test_strict_with_dependent_rows(self):
+        # A strict row sends feasible through the drive-out of artificials,
+        # where an equality and its double leave a redundant row to drop.
+        systems = [
+            sys_of(
+                [([1, 1], Rel.EQ, 1), ([1, 1], Rel.EQ, 1), ([1, 0], Rel.LT, F(1, 2))],
+                2,
+            ),
+            sys_of(
+                [
+                    ([1, 1], Rel.EQ, 1),
+                    ([2, 2], Rel.EQ, 2),
+                    ([1, 0], Rel.LT, F(1, 2)),
+                    ([0, 1], Rel.LT, F(1, 2)),
+                ],
+                2,
+            ),
+        ]
+        assert feasible(systems[0]) is not None
+        assert feasible(systems[1]) is None
+        rng = random.Random(61)
+        for _ in range(300):
+            s = rand_feasibility_system(rng, max_rows=4, max_vars=4)
+            n = s.var_count
+            eq = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+            rhs = F(rng.randint(0, 4))
+            lt = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+            extra = (
+                Row(eq, Rel.EQ, rhs),
+                Row(tuple(2 * c for c in eq), Rel.EQ, 2 * rhs),
+                Row(lt, Rel.LT, F(rng.randint(-2, 4))),
+            )
+            systems.append(LinearSystem(s.rows + extra, n))
+        for s in systems:
+            sol = feasible(s)
+            assert (sol is not None) == fm_feasible(s)
+            assert sol is None or satisfies(s, sol.values)
 
     def test_agrees_with_fourier_motzkin(self):
         rng = random.Random(43)
