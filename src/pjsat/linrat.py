@@ -5,8 +5,9 @@ over implicitly non-negative variables.  ``feasible`` is the one simplex
 routine: exact, Bland's rule throughout, its objective row kept in the
 tableau.  Phase 1 always runs; phase 2, which maximizes a slack epsilon,
 runs only when some row is strict.  It returns a basic solution, which
-the solver takes as its model.  ``shrink_solution`` turns any
-non-negative solution into a basic one with few positive entries and
+the solver takes as its model.  Its tableau is fraction-free, on Python
+ints, after Edmonds (1967) and Bareiss (1968).  ``shrink_solution`` turns
+any non-negative solution into a basic one with few positive entries and
 certified entry sizes: it pins every row at the solution's value,
 restricts the system to the solution's support and calls ``feasible``
 there.  ``_pivot`` is the only elimination step in the module.
@@ -98,25 +99,44 @@ class UnboundedError(RuntimeError):
     pass
 
 
+def _integer_row(coeffs, rhs):
+    """A row's scale, the lcm of its denominators, and its coefficients
+    and right-hand side multiplied by that scale, as ints."""
+    scale = math.lcm(*(c.denominator for c in coeffs), rhs.denominator)
+    return (
+        scale,
+        [c.numerator * (scale // c.denominator) for c in coeffs],
+        rhs.numerator * (scale // rhs.denominator),
+    )
+
+
+def _reduced(line):
+    g = math.gcd(*line)
+    return [v // g for v in line] if g > 1 else line
+
+
 def _pivot(tableau, basis, row, col):
-    """Gauss-Jordan step on tableau[row][col]: the one elimination in linrat.
-    Every other row, the objective row last among them, loses column col."""
-    piv = tableau[row][col]
-    if piv != 1:
-        tableau[row] = [v / piv for v in tableau[row]]
-    nonzero = [(k, v) for k, v in enumerate(tableau[row]) if v]
+    """Fraction-free Gauss-Jordan step on tableau[row][col]: the one
+    elimination in linrat.  The pivot row is negated if its pivot entry is
+    negative, making it p > 0; every other row with an entry f in column
+    col becomes p*line - f*prow, divided by the gcd of its entries."""
+    prow = tableau[row]
+    p = prow[col]
+    if p < 0:
+        p = -p
+        prow = tableau[row] = [-v for v in prow]
     for i, line in enumerate(tableau):
         f = line[col]
         if f and i != row:
-            for k, v in nonzero:
-                line[k] -= f * v
+            tableau[i] = _reduced([p * a - f * b for a, b in zip(line, prow)])
     basis[row] = col
 
 
 def _price_out(tableau, basis, cost):
     """Append cost as the objective row, priced out over the basis: its
-    entries become the reduced costs, its last entry minus the objective."""
-    tableau.append([Fraction(c) for c in cost] + [Fraction(0)])
+    entries become the reduced costs, its last entry minus the objective,
+    all times one positive factor."""
+    tableau.append(list(cost) + [0])
     for i, b in enumerate(basis):
         if tableau[-1][b] != 0:
             _pivot(tableau, basis, i, b)
@@ -124,23 +144,23 @@ def _price_out(tableau, basis, cost):
 
 def _run_simplex(tableau, basis):
     """Minimize the objective in the tableau's last row in place, Bland's
-    rule throughout.  Basic columns have reduced cost 0 and never enter."""
+    rule throughout.  Basic columns have reduced cost 0 and never enter.
+    The ratio test compares rhs_i/a_i against rhs_l/a_l by cross products,
+    so the rows' scales cancel."""
     m = len(basis)
     while True:
         enter = next((j for j, d in enumerate(tableau[-1][:-1]) if d < 0), -1)
         if enter < 0:
             return
         leave = -1
-        best = None
         for i in range(m):
-            if tableau[i][enter] > 0:
-                ratio = tableau[i][-1] / tableau[i][enter]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
+            a = tableau[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                d = tableau[i][-1] * tableau[leave][enter] - tableau[leave][-1] * a
+                if d < 0 or (d == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise UnboundedError("objective unbounded")
@@ -161,11 +181,19 @@ def feasible(system: LinearSystem):
     artificials are driven out of the basis, rows left without a
     non-artificial entry are dropped as redundant, and phase 2 maximizes
     eps: the system is feasible iff the optimum has eps > 0.
+
+    The tableau holds Python ints.  Each row, the objective row too, is a
+    positive multiple of the rational row that Gauss-Jordan division
+    would give, reduced by the gcd of its entries; an input row enters
+    multiplied by the lcm of its denominators, so its artificial entry is
+    that scale.  Every read is invariant under the multiples: signs of
+    reduced costs and of the objective, a cross-multiplied ratio test,
+    and the basic values rhs_i / line_i[b].  ``Fraction`` appears only at
+    the edges, where input rows are read and the solution is returned.
     """
     n = system.var_count
-    one, zero = Fraction(1), Fraction(0)
     eps = int(any(row.rel is Rel.LT for row in system.rows))
-    rows = tuple(system.rows) + (Row((zero,) * n, Rel.LT, one),) * eps
+    rows = tuple(system.rows) + (Row((0,) * n, Rel.LT, 1),) * eps
     m = len(rows)
     art = n + eps + sum(row.rel is not Rel.EQ for row in rows)
     tableau = []
@@ -175,20 +203,18 @@ def feasible(system: LinearSystem):
         # Every row is stored with a non-negative right-hand side.  A row
         # a >= b reads -a + s = -b before that, so at b = 0 it is stored
         # as -a + s = 0.
-        rhs = Fraction(row.rhs)
-        sign = -1 if rhs < 0 or (rhs == 0 and row.rel is Rel.GE) else 1
-        line = [Fraction(c) for c in row.coeffs]
-        if sign < 0:
+        scale, line, rhs = _integer_row(row.coeffs, row.rhs)
+        unit = -scale if rhs < 0 or (rhs == 0 and row.rel is Rel.GE) else scale
+        if unit < 0:
             line = [-c for c in line]
-        line += [zero] * (art - n + m)
+        line += [0] * (art - n + m)
         line.append(abs(rhs))
-        unit = Fraction(sign)
         if row.rel is Rel.LT:
             line[n] = unit
         if row.rel is not Rel.EQ:
             line[slack] = -unit if row.rel is Rel.GE else unit
             slack += 1
-        line[art + i] = one
+        line[art + i] = scale
         tableau.append(line)
         basis.append(art + i)
 
@@ -212,14 +238,14 @@ def feasible(system: LinearSystem):
             i += 1
         # phase 2 maximizes eps, without the artificial columns or the
         # phase-1 objective row
-        tableau = [line[:art] + [line[-1]] for line in tableau[:-1]]
+        tableau = [_reduced(line[:art] + [line[-1]]) for line in tableau[:-1]]
         _price_out(tableau, basis, [0] * n + [-1] + [0] * (art - n - 1))
         _run_simplex(tableau, basis)
 
-    x = [zero] * (n + eps)
+    x = [Fraction(0)] * (n + eps)
     for i, b in enumerate(basis):
         if b < n + eps:
-            x[b] = tableau[i][-1]
+            x[b] = Fraction(tableau[i][-1], tableau[i][b])
     if eps and x[n] <= 0:
         return None
     sol = Solution(tuple(x[:n]))
@@ -234,13 +260,9 @@ def integerize(system: LinearSystem):
     out_rows = []
     l = 1
     for row in system.rows:
-        denoms = [c.denominator for c in row.coeffs] + [row.rhs.denominator]
-        scale = math.lcm(*denoms)
-        coeffs = tuple(c * scale for c in row.coeffs)
-        rhs = row.rhs * scale
-        out_rows.append(Row(coeffs, row.rel, rhs))
-        for c in list(coeffs) + [rhs]:
-            l = max(l, size_int(abs(int(c))))
+        _, coeffs, rhs = _integer_row(row.coeffs, row.rhs)
+        out_rows.append(Row(tuple(map(Fraction, coeffs)), row.rel, Fraction(rhs)))
+        l = max(l, size_int(abs(rhs)), *(size_int(abs(c)) for c in coeffs))
     return LinearSystem(tuple(out_rows), system.var_count), l
 
 

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from pjsat import linrat
 from pjsat.linrat import (
     LinearSystem,
     Rel,
     Row,
     Solution,
+    UnboundedError,
     feasible,
     integerize,
     make_system,
@@ -26,6 +28,156 @@ F = Fraction
 
 def sys_of(rows, n):
     return make_system(rows, n)
+
+
+# The simplex on Fraction entries: the reference whose results and pivot
+# path the integer tableau in linrat must match.
+
+def _ref_pivot(tableau, basis, row, col):
+    """Gauss-Jordan step on tableau[row][col], dividing the pivot row.
+    Every other row, the objective row last among them, loses column col."""
+    piv = tableau[row][col]
+    if piv != 1:
+        tableau[row] = [v / piv for v in tableau[row]]
+    nonzero = [(k, v) for k, v in enumerate(tableau[row]) if v]
+    for i, line in enumerate(tableau):
+        f = line[col]
+        if f and i != row:
+            for k, v in nonzero:
+                line[k] -= f * v
+    basis[row] = col
+
+
+def _ref_price_out(tableau, basis, cost):
+    """Append cost as the objective row, priced out over the basis: its
+    entries become the reduced costs, its last entry minus the objective."""
+    tableau.append([Fraction(c) for c in cost] + [Fraction(0)])
+    for i, b in enumerate(basis):
+        if tableau[-1][b] != 0:
+            _ref_pivot(tableau, basis, i, b)
+
+
+def _ref_run_simplex(tableau, basis):
+    """Minimize the objective in the tableau's last row in place, Bland's
+    rule throughout.  Basic columns have reduced cost 0 and never enter."""
+    m = len(basis)
+    while True:
+        enter = next((j for j, d in enumerate(tableau[-1][:-1]) if d < 0), -1)
+        if enter < 0:
+            return
+        leave = -1
+        best = None
+        for i in range(m):
+            if tableau[i][enter] > 0:
+                ratio = tableau[i][-1] / tableau[i][enter]
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise UnboundedError("objective unbounded")
+        _ref_pivot(tableau, basis, leave, enter)
+
+
+def ref_feasible(system: LinearSystem):
+    """linrat.feasible on Fraction entries."""
+    n = system.var_count
+    one, zero = Fraction(1), Fraction(0)
+    eps = int(any(row.rel is Rel.LT for row in system.rows))
+    rows = tuple(system.rows) + (Row((zero,) * n, Rel.LT, one),) * eps
+    m = len(rows)
+    art = n + eps + sum(row.rel is not Rel.EQ for row in rows)
+    tableau = []
+    basis = []
+    slack = n + eps
+    for i, row in enumerate(rows):
+        # Every row is stored with a non-negative right-hand side.  A row
+        # a >= b reads -a + s = -b before that, so at b = 0 it is stored
+        # as -a + s = 0.
+        rhs = Fraction(row.rhs)
+        sign = -1 if rhs < 0 or (rhs == 0 and row.rel is Rel.GE) else 1
+        line = [Fraction(c) for c in row.coeffs]
+        if sign < 0:
+            line = [-c for c in line]
+        line += [zero] * (art - n + m)
+        line.append(abs(rhs))
+        unit = Fraction(sign)
+        if row.rel is Rel.LT:
+            line[n] = unit
+        if row.rel is not Rel.EQ:
+            line[slack] = -unit if row.rel is Rel.GE else unit
+            slack += 1
+        line[art + i] = one
+        tableau.append(line)
+        basis.append(art + i)
+
+    # phase 1: minimize the sum of artificials
+    _ref_price_out(tableau, basis, [0] * art + [1] * m)
+    _ref_run_simplex(tableau, basis)
+    if tableau[-1][-1] < 0:  # the artificials' sum stays positive
+        return None
+
+    if eps:
+        # drive artificials out of the basis; drop redundant rows
+        i = 0
+        while i < len(basis):
+            if basis[i] >= art:
+                col = next((j for j in range(art) if tableau[i][j] != 0), None)
+                if col is None:
+                    del tableau[i]
+                    del basis[i]
+                    continue
+                _ref_pivot(tableau, basis, i, col)
+            i += 1
+        # phase 2 maximizes eps, without the artificial columns or the
+        # phase-1 objective row
+        tableau = [line[:art] + [line[-1]] for line in tableau[:-1]]
+        _ref_price_out(tableau, basis, [0] * n + [-1] + [0] * (art - n - 1))
+        _ref_run_simplex(tableau, basis)
+
+    x = [zero] * (n + eps)
+    for i, b in enumerate(basis):
+        if b < n + eps:
+            x[b] = tableau[i][-1]
+    if eps and x[n] <= 0:
+        return None
+    sol = Solution(tuple(x[:n]))
+    if not satisfies(system, sol.values):
+        raise AssertionError("simplex produced an invalid solution")
+    return sol
+
+
+def with_dependent_rows(rng):
+    """A small system plus an equality, its double and a strict row: the
+    draws of test_strict_with_dependent_rows."""
+    s = rand_feasibility_system(rng, max_rows=4, max_vars=4)
+    n = s.var_count
+    eq = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+    rhs = F(rng.randint(0, 4))
+    lt = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+    extra = (
+        Row(eq, Rel.EQ, rhs),
+        Row(tuple(2 * c for c in eq), Rel.EQ, 2 * rhs),
+        Row(lt, Rel.LT, F(rng.randint(-2, 4))),
+    )
+    return LinearSystem(s.rows + extra, n)
+
+
+def with_denominators(rng, dens=(2, 3, 7, 10**9 + 7)):
+    """A small system whose coefficients and right-hand sides have
+    denominators among dens."""
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = tuple(
+            F(rng.randint(-3, 3), rng.choice((1,) + dens)) for _ in range(n)
+        )
+        rel = rng.choice((Rel.EQ, Rel.LE, Rel.GE, Rel.LT))
+        rows.append(Row(coeffs, rel, F(rng.randint(-4, 4), rng.choice((1,) + dens))))
+    return LinearSystem(tuple(rows), n)
 
 
 class TestFeasible:
@@ -114,6 +266,84 @@ class TestFeasible:
         for _ in range(400):
             s = rand_feasibility_system(rng, max_rows=6, max_vars=4)
             assert (feasible(s) is not None) == fm_feasible(s)
+
+    def test_matches_fraction_reference(self, monkeypatch):
+        # Same results and the same pivots, in order, as the Fraction
+        # simplex: the integer tableau takes Bland's path unchanged.
+        path, ref_path = [], []
+
+        def recording(pivot, out):
+            def step(tableau, basis, row, col):
+                out.append((row, col))
+                pivot(tableau, basis, row, col)
+
+            return step
+
+        monkeypatch.setattr(linrat, "_pivot", recording(linrat._pivot, path))
+        monkeypatch.setitem(globals(), "_ref_pivot", recording(_ref_pivot, ref_path))
+        rng = random.Random(67)
+        draws = (rand_feasibility_system, with_dependent_rows, with_denominators)
+        seen_feasible = 0
+        for k in range(3000):
+            s = draws[k % 3](rng)
+            path.clear()
+            ref_path.clear()
+            sol = feasible(s)
+            assert sol == ref_feasible(s)
+            assert path == ref_path
+            seen_feasible += sol is not None
+        assert 600 < seen_feasible < 2400
+
+    @pytest.mark.parametrize(
+        "rows, n",
+        [
+            # plain int coefficients and right-hand sides
+            ([Row((1, 1), Rel.EQ, 1), Row((1, 0), Rel.LE, 0)], 2),
+            ([Row((2, 3), Rel.GE, 5), Row((1, 1), Rel.LT, 2)], 2),
+            ([Row((1, 1), Rel.EQ, 1), Row((1, 1), Rel.LT, 1)], 2),
+            # a >= row with right-hand side 0, stored negated
+            ([Row((1, -1), Rel.GE, 0), Row((1, 1), Rel.EQ, 1)], 2),
+            ([Row((-1, 0), Rel.GE, 0), Row((1, 1), Rel.GE, F(1, 2))], 2),
+            # negative right-hand sides
+            ([Row((1, -1), Rel.LE, -1), Row((1, 1), Rel.LE, 3)], 2),
+            ([Row((-1, -1), Rel.LT, F(-1, 3)), Row((1, 1), Rel.LE, F(1, 3))], 2),
+            ([Row((1,), Rel.EQ, -2)], 1),
+            # the all-zero strict row 0 < 0, alone and beside other rows
+            ([Row((0, 0), Rel.LT, 0)], 2),
+            ([Row((1, 1), Rel.EQ, 1), Row((0, 0), Rel.LT, 0)], 2),
+            ([Row((0,), Rel.LT, 1), Row((0,), Rel.LE, 0)], 1),
+            # thresholds with large numerators and denominators
+            (
+                [
+                    Row((1, 1), Rel.EQ, 1),
+                    Row((1, 0), Rel.GE, F(123456789, 987654321)),
+                    Row((0, 1), Rel.GE, F(864197532, 987654321)),
+                ],
+                2,
+            ),
+            (
+                [
+                    Row((1, 1), Rel.EQ, 1),
+                    Row((1, 0), Rel.GE, F(123456789, 987654321)),
+                    Row((0, 1), Rel.GE, F(864197533, 987654321)),
+                ],
+                2,
+            ),
+            (
+                [
+                    Row((F(123456789, 987654321), 1, 0), Rel.LT, F(1, 3)),
+                    Row((1, F(-987654321, 123456789), 1), Rel.GE, F(2, 7)),
+                    Row((1, 1, 1), Rel.EQ, 1),
+                ],
+                3,
+            ),
+        ],
+    )
+    def test_tableau_build_edge_cases(self, rows, n):
+        s = LinearSystem(tuple(rows), n)
+        sol = feasible(s)
+        assert (sol is not None) == fm_feasible(s)
+        assert sol is None or satisfies(s, sol.values)
 
 
 class TestReduceSupport:
