@@ -5,6 +5,12 @@ constants.  The schematic part maps constants to scheme names; the finite
 part lists individual (constant, ground instance) pairs.  Scheme patterns
 are justification formulas extended with formula metavariables (A, B, C)
 and term metavariables (S, T); the two sorts never mix.
+
+Each built-in scheme is defined once, as a builder ``build(A, B, C, S, T)``
+returning its instance for the given metavariables.  ``Scheme.pattern``
+is the builder applied to the metavariables named A, B, C, S, T; the
+derivation search instantiates a scheme by applying its builder to fresh
+metavariables instead.
 """
 
 from __future__ import annotations
@@ -44,27 +50,30 @@ class TMeta:
 
 @dataclass(frozen=True)
 class Scheme:
+    """An axiom scheme.  ``build(A, B, C, S, T)`` makes its instance for
+    formula metavariables A, B, C and term metavariables S, T; ``pattern``
+    is the instance for the metavariables named so."""
+
     name: str
+    build: object = field(repr=False, compare=False)
     pattern: object  # JFormula extended with FMeta/TMeta nodes
 
 
 def _make_schemes():
-    A, B, C = FMeta("A"), FMeta("B"), FMeta("C")
-    S, T = TMeta("S"), TMeta("T")
-    return (
-        Scheme("TAUT1", jimp(A, jimp(B, A))),
-        Scheme("TAUT2", jimp(jimp(A, jimp(B, C)), jimp(jimp(A, B), jimp(A, C)))),
-        Scheme("TAUT3", jimp(jimp(JNot(A), JNot(B)), jimp(B, A))),
-        Scheme(
-            "APP",
-            jimp(
-                Assert(S, jimp(A, B)),
-                jimp(Assert(T, A), Assert(App(S, T), B)),
-            ),
+    builders = {
+        "TAUT1": lambda A, B, C, S, T: jimp(A, jimp(B, A)),
+        "TAUT2": lambda A, B, C, S, T: jimp(
+            jimp(A, jimp(B, C)), jimp(jimp(A, B), jimp(A, C))
         ),
-        Scheme("SUM_L", jimp(Assert(S, A), Assert(Sum(S, T), A))),
-        Scheme("SUM_R", jimp(Assert(T, A), Assert(Sum(S, T), A))),
-    )
+        "TAUT3": lambda A, B, C, S, T: jimp(jimp(JNot(A), JNot(B)), jimp(B, A)),
+        "APP": lambda A, B, C, S, T: jimp(
+            Assert(S, jimp(A, B)), jimp(Assert(T, A), Assert(App(S, T), B))
+        ),
+        "SUM_L": lambda A, B, C, S, T: jimp(Assert(S, A), Assert(Sum(S, T), A)),
+        "SUM_R": lambda A, B, C, S, T: jimp(Assert(T, A), Assert(Sum(S, T), A)),
+    }
+    metas = (FMeta("A"), FMeta("B"), FMeta("C"), TMeta("S"), TMeta("T"))
+    return tuple(Scheme(n, build, build(*metas)) for n, build in builders.items())
 
 
 _SCHEMES = _make_schemes()

@@ -8,6 +8,9 @@ sum conditions, and the atom is satisfiable iff none of its negated
 assertions falls inside that closure.  Membership is decided by a
 goal-directed search over the term structure, with first-order unification
 over the two-sorted pattern language (formula and term metavariables).
+A constant's axiom scheme is instantiated by calling the scheme's builder
+on five metavariables fresh to the search, so that every use of a scheme
+in a derivation is renamed apart from every other.
 
 The filter is compiled once per formula (``jsat_test``): the search for a
 negated assertion reads only the positives on the terms it visits, so
@@ -70,45 +73,6 @@ def subst_apply(pat, subst):
     raise TypeError(f"bad pattern: {pat!r}")
 
 
-def _rename_pattern(pat, mapping, fresh):
-    """Rename a scheme's metavariables apart with fresh names."""
-    if isinstance(pat, FMeta):
-        if pat not in mapping:
-            mapping[pat] = FMeta(fresh())
-        return mapping[pat]
-    if isinstance(pat, TMeta):
-        if pat not in mapping:
-            mapping[pat] = TMeta(fresh())
-        return mapping[pat]
-    if isinstance(pat, (Prop, Const, Var)):
-        return pat
-    if isinstance(pat, JNot):
-        return JNot(_rename_pattern(pat.body, mapping, fresh))
-    if isinstance(pat, JAnd):
-        return JAnd(
-            _rename_pattern(pat.left, mapping, fresh),
-            _rename_pattern(pat.right, mapping, fresh),
-        )
-    if isinstance(pat, Assert):
-        return Assert(
-            _rename_pattern(pat.term, mapping, fresh),
-            _rename_pattern(pat.body, mapping, fresh),
-        )
-    if isinstance(pat, App):
-        return App(
-            _rename_pattern(pat.left, mapping, fresh),
-            _rename_pattern(pat.right, mapping, fresh),
-        )
-    if isinstance(pat, Sum):
-        return Sum(
-            _rename_pattern(pat.left, mapping, fresh),
-            _rename_pattern(pat.right, mapping, fresh),
-        )
-    if isinstance(pat, Bang):
-        return Bang(_rename_pattern(pat.inner, mapping, fresh))
-    raise TypeError(f"bad pattern: {pat!r}")
-
-
 def _fresh_supply():
     counter = itertools.count()
     return lambda: f"_G{next(counter)}"
@@ -151,7 +115,10 @@ def derives(ctx: AtomContext, t, phi, subst=None, fresh=None):
                 yield s2
     if isinstance(t, Const):
         for sname in sorted(ctx.cs.schemes_of(t.name)):
-            pat = _rename_pattern(scheme_named(sname).pattern, {}, fresh)
+            pat = scheme_named(sname).build(
+                FMeta(fresh()), FMeta(fresh()), FMeta(fresh()),
+                TMeta(fresh()), TMeta(fresh()),
+            )
             s2 = unify(pat, phi, subst)
             if s2 is not None:
                 yield s2

@@ -4,8 +4,9 @@ Satisfiability goes through four stages: rewrite the formula into a DNF
 over probability literals, walk the sign tuples over the formula's basis
 and keep, for each signature (the truth values of the literal bodies),
 the first one a basic evaluation can satisfy as an atom, translate each
-disjunct into an exact linear system over those atoms' weights, and read
-the model off the first feasible system's solution.  The simplex returns
+disjunct into an exact linear system over those sign tuples' weights,
+whose 0/1 coefficients are read off the signatures, and read the model
+off the first feasible system's solution.  The simplex returns
 a basic solution, so the model has at most one world per row and weights
 of certified size; ``certify_model`` checks both on every model.
 
@@ -85,18 +86,14 @@ def p_dnf(f: PFormula) -> PDnf:
     return PDnf(tuple(disjuncts))
 
 
-def build_system(conj, sat_atoms) -> LinearSystem:
-    """One weight variable per satisfiable atom; a total-measure row plus
-    one row per literal over the atoms where its body evaluates true."""
-    n = len(sat_atoms)
-    one = Fraction(1)
-    zero = Fraction(0)
-    rows = [Row((one,) * n, Rel.EQ, one)]
+def build_system(conj, columns) -> LinearSystem:
+    """One weight variable per column entry; a total-measure row plus one
+    row per literal, whose coefficients are its body's 0/1 column
+    (``columns[body]``, one int per variable)."""
+    n = len(next(iter(columns.values())))
+    rows = [Row((1,) * n, Rel.EQ, Fraction(1))]
     for lit in conj:
-        coeffs = tuple(
-            one if v else zero for v in truth_values(lit.body, sat_atoms)
-        )
-        rows.append(Row(coeffs, lit.rel, lit.threshold))
+        rows.append(Row(columns[lit.body], lit.rel, lit.threshold))
     return LinearSystem(tuple(rows), n)
 
 
@@ -171,11 +168,12 @@ def solve_sat(
 
     Sign tuples with the same signature give identical columns, so each
     signature keeps one column: its first J-satisfiable sign tuple in
-    enumeration order, the only one made into an Atom.  Sign tuples of a
-    signature that already has one are not J-checked.  Disjuncts of the
-    DNF are tried in order; the first feasible linear system wins.  Its
-    basic solution is the model, one world per positive weight, and is
-    certified before being returned.
+    enumeration order.  Sign tuples of a signature that already has one
+    are not J-checked.  Each body's column is read off the signatures.
+    Disjuncts of the DNF are tried in order; the first feasible linear
+    system wins.  Its basic solution is the model, one world per positive
+    weight (the only sign tuples made into Atoms), and is certified
+    before being returned.
     """
     basis = basis_of(f)
     index = {b: i for i, b in enumerate(basis)}
@@ -186,16 +184,20 @@ def solve_sat(
     for signs in sign_tuples(basis, cap):
         key = tuple([test(signs) for test in tests])
         if key not in reps and jsat(signs):
-            reps[key] = Atom(basis, signs)
-    sat_atoms = list(reps.values())
+            reps[key] = signs
+    columns = {body: tuple(map(int, col)) for body, col in zip(bodies, zip(*reps))}
     for conj in p_dnf(f).disjuncts:
-        system = build_system(conj, sat_atoms)
+        system = build_system(conj, columns)
         if on_system is not None:
             on_system(system)
         sol = feasible(system)
         if sol is None:
             continue
-        worlds = tuple((a, w) for a, w in zip(sat_atoms, sol.values) if w > 0)
+        worlds = tuple(
+            (Atom(basis, signs), w)
+            for signs, w in zip(reps.values(), sol.values)
+            if w > 0
+        )
         model = SmallModel(worlds, basis)
         problems = certify_model(model, f, cs)
         if problems:

@@ -434,7 +434,7 @@ def basis_of(f):
     ascending by printed string."""
     props = set()
     asserts = set()
-    for g in subf(f):
+    for g in preorder(f):
         if isinstance(g, Prop):
             props.add(g)
         elif isinstance(g, Assert):
@@ -530,7 +530,7 @@ def shrink_bound(r: int, l: int) -> float:
 
 def norm(f: PFormula) -> int:
     """Max size over all thresholds occurring in f."""
-    return max(size_rat(g.threshold) for g in subf(f) if isinstance(g, AtLeast))
+    return max(size_rat(g.threshold) for g in preorder(f) if isinstance(g, AtLeast))
 
 
 def weight_size_bound(f: PFormula) -> int:

@@ -1,8 +1,10 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
 
-from pjsat.cspec import ConstantSpec, FMeta, default_cs
+from pjsat.cspec import ConstantSpec, FMeta, TMeta, builtin_schemes, default_cs
 from pjsat.jsem import (
     AtomContext,
     BasisMismatchError,
@@ -24,8 +26,10 @@ from pjsat.syntax import (
     basis_of,
     jimp,
     parse_jformula,
+    parse_pformula,
     parse_term,
 )
+from pjsat.solver import solve_sat
 
 from _gen import rand_atom_for, rand_jformula
 from _oracles import jsat_oracle, tt_eval
@@ -109,6 +113,55 @@ class TestDerives:
         ctx = AtomContext.from_atom(a, CS0)
         assert next(derives(ctx, parse_term("!t"), Prop(1)), None) is not None
         assert next(derives(ctx, parse_term("!t"), Prop(2)), None) is None
+
+
+def _renaming(pattern, instance, mapping):
+    """Extend mapping (pattern metavariable to instance metavariable of
+    the same sort) so that instance is pattern renamed; False when it is
+    not."""
+    if isinstance(pattern, (FMeta, TMeta)):
+        return type(instance) is type(pattern) and (
+            mapping.setdefault(pattern, instance) == instance
+        )
+    if type(instance) is not type(pattern):
+        return False
+    if not dataclasses.is_dataclass(pattern):
+        return pattern == instance
+    return all(
+        _renaming(getattr(pattern, f.name), getattr(instance, f.name), mapping)
+        for f in dataclasses.fields(pattern)
+    )
+
+
+class TestRenamingApart:
+    # c_taut1 justifies both p1 -> (p3 -> p1) and
+    # (p1 -> (p3 -> p1)) -> (p2 -> (p1 -> (p3 -> p1))): two TAUT1 instances
+    # that no single binding of its metavariables covers
+    DOUBLE_TAUT1 = "(c_taut1.c_taut1):(p2 -> (p1 -> (p3 -> p1)))"
+
+    def test_one_scheme_used_twice_in_a_derivation(self):
+        phi = parse_jformula("~" + self.DOUBLE_TAUT1)
+        assert not jformula_sat(phi, default_cs())
+        f = parse_pformula(f"P>=1/2 ~{self.DOUBLE_TAUT1}")
+        assert solve_sat(f, default_cs()) is None
+
+    @pytest.mark.parametrize("scheme", builtin_schemes(), ids=lambda s: s.name)
+    def test_instances_are_renamed_apart(self, scheme):
+        # derives binds the goal metavariable X to the scheme instance it
+        # makes; two calls on one fresh supply make two instances
+        cs = ConstantSpec(schematic={"c": frozenset({scheme.name})})
+        ctx = AtomContext((), (), cs)
+        goal = FMeta("X")
+        counter = itertools.count()
+        fresh = lambda: f"_R{next(counter)}"  # noqa: E731
+        renamings = []
+        for _ in range(2):
+            (subst,) = derives(ctx, Const("c"), goal, {}, fresh)
+            mapping = {}
+            assert _renaming(scheme.pattern, subst[goal], mapping)
+            assert len(set(mapping.values())) == len(mapping) > 0
+            renamings.append(set(mapping.values()))
+        assert not renamings[0] & renamings[1]
 
 
 class TestAtomJsat:
