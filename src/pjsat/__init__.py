@@ -7,7 +7,7 @@ logic, with small-model witnesses carrying certified size bounds.
 from .cspec import ConstantSpec, builtin_schemes, cs_contains, default_cs, load_cs, validate
 from .jsem import atom_jsat, eval_under_atom, jformula_sat
 from .linrat import LinearSystem, Rel, Row, Solution, feasible, integerize, shrink_solution
-from .solver import SmallModel, check_model, lift_to_p1, p_dnf, solve_sat, valid
+from .solver import SmallModel, check_model, lift_to_p1, solve_sat, valid
 from .syntax import (
     Atom,
     atoms_of,
@@ -44,7 +44,6 @@ __all__ = [
     "SmallModel",
     "check_model",
     "lift_to_p1",
-    "p_dnf",
     "solve_sat",
     "valid",
     "Atom",

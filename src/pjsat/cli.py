@@ -87,12 +87,12 @@ def _read(path):
 def _load_cs(args):
     if args.cs_path is None:
         return cspec.default_cs()
-    cs = cspec.load_cs(
-        _read(args.cs_path),
+    cs = cspec.load_cs(_read(args.cs_path))
+    diagnostics = cspec.validate(
+        cs,
         require_injective=args.require_injective,
         require_appropriate=args.require_appropriate,
     )
-    diagnostics = cspec.validate(cs)
     if diagnostics:
         for d in diagnostics:
             print(d, file=sys.stderr)

@@ -179,8 +179,6 @@ class ConstantSpec:
 
     schematic: dict = field(default_factory=dict)
     finite: frozenset = field(default_factory=frozenset)
-    require_injective: bool = False
-    require_appropriate: bool = False
 
     def schemes_of(self, cname: str):
         return self.schematic.get(cname, frozenset())
@@ -196,16 +194,21 @@ def cs_contains(cs: ConstantSpec, cname: str, phi) -> bool:
     return False
 
 
-def validate(cs: ConstantSpec):
+def validate(
+    cs: ConstantSpec,
+    *,
+    require_injective: bool = False,
+    require_appropriate: bool = False,
+):
     """Diagnostics for the requested flags; empty list means valid."""
     diagnostics = []
-    if cs.require_appropriate:
+    if require_appropriate:
         for scheme in _SCHEMES:
             if not any(scheme.name in names for names in cs.schematic.values()):
                 diagnostics.append(
                     f"not axiomatically appropriate: no constant justifies {scheme.name}"
                 )
-    if cs.require_injective:
+    if require_injective:
         for cname in sorted(cs.schematic):
             if len(cs.schematic[cname]) > 1:
                 names = ", ".join(sorted(cs.schematic[cname]))
@@ -224,19 +227,10 @@ def default_cs() -> ConstantSpec:
     schematic = {
         "c_" + s.name.lower(): frozenset({s.name}) for s in _SCHEMES
     }
-    return ConstantSpec(
-        schematic=schematic,
-        finite=frozenset(),
-        require_injective=True,
-        require_appropriate=True,
-    )
+    return ConstantSpec(schematic=schematic, finite=frozenset())
 
 
-def load_cs(
-    text: str,
-    require_injective: bool = False,
-    require_appropriate: bool = False,
-) -> ConstantSpec:
+def load_cs(text: str) -> ConstantSpec:
     """Parse the line-oriented CS file format.
 
     Sections ``[schematic]`` and ``[finite]``; entries ``constant : SCHEME``
@@ -279,6 +273,4 @@ def load_cs(
     return ConstantSpec(
         schematic={c: frozenset(names) for c, names in schematic.items()},
         finite=frozenset(finite),
-        require_injective=require_injective,
-        require_appropriate=require_appropriate,
     )

@@ -1,19 +1,21 @@
 """The decision procedure for probability formulas over justification logic.
 
-Satisfiability goes through four stages: rewrite the formula into a DNF
-over probability literals, walk the sign tuples over the formula's basis
-and keep, for each signature (the truth values of the literal bodies),
-the first one a basic evaluation can satisfy as an atom, translate each
-disjunct into an exact linear system over those sign tuples' weights,
-whose 0/1 coefficients are read off the signatures, and read the model
-off the first feasible system's solution.  The simplex returns
-a basic solution, so the model has at most one world per row and weights
-of certified size; ``certify_model`` checks both on every model.
+Satisfiability goes through three stages: walk the sign tuples over the
+formula's basis and keep, for each signature (the truth values of the
+probability literal bodies), the first one a basic evaluation can
+satisfy as an atom; then walk the truth assignments to the formula's
+probability literals one at a time, and translate each one under which
+the formula holds into an exact linear system over those sign tuples'
+weights, whose 0/1 coefficients are read off the signatures; read the
+model off the first feasible system's solution.  No assignment past the
+first feasible one is built.  The simplex returns a basic solution, so
+the model has at most one world per row and weights of certified size;
+``certify_model`` checks both on every model.
 
 Both levels of Boolean structure are evaluated by one compiled test,
 ``syntax.truth_test``: the formula over the truth values of its
-probability literals (in the DNF and in the model check), and each
-literal body over an atom's signs.
+probability literals (in the assignment walk and in the model check),
+and each literal body over an atom's signs.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .syntax import (
     ParseError,
     Prop,
     basis_of,
+    jformula_str,
     parse_jformula,
     rat_str,
     preorder,
@@ -49,51 +52,20 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class PLiteral:
-    body: object  # JFormula
-    rel: Rel  # Rel.GE or Rel.LT
-    threshold: Fraction
-
-
-@dataclass(frozen=True)
-class PDnf:
-    disjuncts: tuple  # tuple of tuples of PLiteral
-
-
 def _p_occurrences(f: PFormula):
     """Distinct AtLeast subformulas in left-to-right traversal order."""
     return list(dict.fromkeys(g for g in preorder(f) if isinstance(g, AtLeast)))
 
 
-def p_dnf(f: PFormula) -> PDnf:
-    """Truth-functional DNF over the AtLeast occurrences of f.
-
-    Each AtLeast occurrence is treated as a Boolean variable; a negated
-    occurrence becomes a strict < literal.  An empty disjunct list means
-    f is truth-functionally unsatisfiable over its occurrences.
-    """
-    occs = _p_occurrences(f)
-    test = truth_test(f, {occ: i for i, occ in enumerate(occs)})
-    disjuncts = []
-    for bits in itertools.product((True, False), repeat=len(occs)):
-        if test(bits):
-            conj = tuple(
-                PLiteral(occ.body, Rel.GE if bit else Rel.LT, occ.threshold)
-                for occ, bit in zip(occs, bits)
-            )
-            disjuncts.append(conj)
-    return PDnf(tuple(disjuncts))
-
-
-def build_system(conj, columns) -> LinearSystem:
+def build_system(occs, bits, columns) -> LinearSystem:
     """One weight variable per column entry; a total-measure row plus one
-    row per literal, whose coefficients are its body's 0/1 column
-    (``columns[body]``, one int per variable)."""
+    row per occurrence, ``P(body) >= s`` where its bit is true and
+    ``P(body) < s`` where it is false, whose coefficients are its body's
+    0/1 column (``columns[body]``, one int per variable)."""
     n = len(next(iter(columns.values())))
     rows = [Row((1,) * n, Rel.EQ, Fraction(1))]
-    for lit in conj:
-        rows.append(Row(columns[lit.body], lit.rel, lit.threshold))
+    for occ, bit in zip(occs, bits):
+        rows.append(Row(columns[occ.body], Rel.GE if bit else Rel.LT, occ.threshold))
     return LinearSystem(tuple(rows), n)
 
 
@@ -170,14 +142,16 @@ def solve_sat(
     signature keeps one column: its first J-satisfiable sign tuple in
     enumeration order.  Sign tuples of a signature that already has one
     are not J-checked.  Each body's column is read off the signatures.
-    Disjuncts of the DNF are tried in order; the first feasible linear
-    system wins.  Its basic solution is the model, one world per positive
-    weight (the only sign tuples made into Atoms), and is certified
-    before being returned.
+    The truth assignments to the AtLeast occurrences are walked in
+    ``itertools.product`` order, and each one under which the formula
+    holds is tried as a linear system; the first feasible one wins.  Its
+    basic solution is the model, one world per positive weight (the only
+    sign tuples made into Atoms), and is certified before being returned.
     """
     basis = basis_of(f)
     index = {b: i for i, b in enumerate(basis)}
-    bodies = dict.fromkeys(occ.body for occ in _p_occurrences(f))
+    occs = _p_occurrences(f)
+    bodies = dict.fromkeys(occ.body for occ in occs)
     tests = [truth_test(body, index) for body in bodies]
     jsat = jsat_test(basis, cs)
     reps = {}
@@ -186,8 +160,11 @@ def solve_sat(
         if key not in reps and jsat(signs):
             reps[key] = signs
     columns = {body: tuple(map(int, col)) for body, col in zip(bodies, zip(*reps))}
-    for conj in p_dnf(f).disjuncts:
-        system = build_system(conj, columns)
+    holds = truth_test(f, {occ: i for i, occ in enumerate(occs)})
+    for bits in itertools.product((True, False), repeat=len(occs)):
+        if not holds(bits):
+            continue
+        system = build_system(occs, bits, columns)
         if on_system is not None:
             on_system(system)
         sol = feasible(system)
@@ -261,9 +238,9 @@ def parse_model(text: str, f: PFormula) -> SmallModel:
         signs = [None] * len(basis)
         for basic, sign in _conjunct_literals(conj):
             if basic not in index:
-                raise ModelFormatError(f"atom literal outside basis: {basic}")
+                raise ModelFormatError(f"atom literal outside basis: {jformula_str(basic)}")
             if signs[index[basic]] is not None:
-                raise ModelFormatError(f"atom names {basic} twice")
+                raise ModelFormatError(f"atom names {jformula_str(basic)} twice")
             signs[index[basic]] = sign
         if any(s is None for s in signs):
             raise ModelFormatError("atom does not cover the formula basis")
@@ -280,4 +257,4 @@ def _conjunct_literals(conj):
     elif isinstance(conj, (Prop, Assert)):
         yield conj, True
     else:
-        raise ModelFormatError(f"not an atom literal: {conj}")
+        raise ModelFormatError(f"not an atom literal: {jformula_str(conj)}")

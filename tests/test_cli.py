@@ -138,6 +138,21 @@ class TestCheck:
         assert "error:" in captured.err
 
 
+    @pytest.mark.parametrize(
+        "atom, message",
+        [
+            ("~~p1", "not an atom literal: ~~p1"),
+            ("p1 & p2", "atom literal outside basis: p2"),
+            ("p1 & p1", "atom names p1 twice"),
+        ],
+    )
+    def test_atom_errors_print_formulas(self, tmp_path, capsys, atom, message):
+        f = write(tmp_path, "f.pj", "P>=1 p1\n")
+        m = write(tmp_path, "m.out", f"SAT\nworld 1 weight 1 atom {atom}\n")
+        assert main(["check", f, "--model", m]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestCsLoading:
     def test_custom_cs_changes_verdict(self, tmp_path, capsys):
         # without SUM_L instances, c1 can justify nothing here

@@ -94,14 +94,13 @@ class TestCsContains:
 
 class TestValidate:
     def test_valid_default(self):
-        assert validate(default_cs()) == []
+        assert validate(
+            default_cs(), require_injective=True, require_appropriate=True
+        ) == []
 
     def test_injectivity_diagnostic(self):
-        cs = ConstantSpec(
-            schematic={"c2": frozenset({"SUM_L", "SUM_R"})},
-            require_injective=True,
-        )
-        diags = validate(cs)
+        cs = ConstantSpec(schematic={"c2": frozenset({"SUM_L", "SUM_R"})})
+        diags = validate(cs, require_injective=True)
         assert any("c2" in d for d in diags)
 
     def test_appropriateness_diagnostic(self):
@@ -110,16 +109,15 @@ class TestValidate:
             for s in builtin_schemes()
             if s.name != "TAUT1"
         }
-        cs = ConstantSpec(schematic=schematic, require_appropriate=True)
-        diags = validate(cs)
+        cs = ConstantSpec(schematic=schematic)
+        diags = validate(cs, require_appropriate=True)
         assert any("TAUT1" in d for d in diags)
 
     def test_idempotent(self):
-        cs = ConstantSpec(
-            schematic={"c2": frozenset({"SUM_L", "SUM_R"})},
-            require_injective=True,
+        cs = ConstantSpec(schematic={"c2": frozenset({"SUM_L", "SUM_R"})})
+        assert validate(cs, require_injective=True) == validate(
+            cs, require_injective=True
         )
-        assert validate(cs) == validate(cs)
 
 
 class TestLoadCs:

@@ -8,14 +8,12 @@ from pjsat.cspec import default_cs
 from pjsat.jsem import BasisMismatchError, atom_jsat, eval_under_atom, jformula_sat
 from pjsat.linrat import Rel, feasible
 from pjsat.solver import (
-    PLiteral,
     SmallModel,
     build_system,
     certify_model,
     check_model,
     format_model,
     lift_to_p1,
-    p_dnf,
     parse_model,
     solve_sat,
     valid,
@@ -58,54 +56,28 @@ def _eval_boolean(f, assignment) -> bool:
     return _eval_boolean(f.left, assignment) and _eval_boolean(f.right, assignment)
 
 
-class TestPDnf:
-    def test_single_literal(self):
-        d = p_dnf(parse_pformula("P>=1/2 p1"))
-        assert d.disjuncts == (
-            (PLiteral(Prop(1), Rel.GE, F(1, 2)),),
-        )
+def _occurrences(f, seen=None):
+    """Distinct AtLeast nodes of f, left to right."""
+    seen = {} if seen is None else seen
+    if isinstance(f, AtLeast):
+        seen.setdefault(f)
+    elif isinstance(f, PNot):
+        _occurrences(f.body, seen)
+    else:
+        _occurrences(f.left, seen)
+        _occurrences(f.right, seen)
+    return list(seen)
 
-    def test_negation_becomes_strict(self):
-        d = p_dnf(parse_pformula("~P>=1/2 p1"))
-        assert d.disjuncts == (
-            (PLiteral(Prop(1), Rel.LT, F(1, 2)),),
-        )
 
-    def test_contradiction_empty(self):
-        d = p_dnf(parse_pformula("P>=1 p1 & ~P>=1 p1"))
-        assert d.disjuncts == ()
-
-    def test_boolean_equivalence(self):
-        # for every assignment to the occurrences the DNF agrees with f
-        rng = random.Random(61)
-        for _ in range(60):
-            f = rand_pformula(rng, depth=3)
-            from pjsat.solver import _p_occurrences
-
-            occs = _p_occurrences(f)
-            d = p_dnf(f)
-            lit_of = {
-                (occ.body, occ.threshold): occ for occ in occs
-            }
-            for bits in itertools.product((True, False), repeat=len(occs)):
-                assign = dict(zip(occs, bits))
-                direct = _eval_boolean(f, assign)
-                via_dnf = any(
-                    all(
-                        assign[lit_of[(lit.body, lit.threshold)]]
-                        == (lit.rel is Rel.GE)
-                        for lit in conj
-                    )
-                    for conj in d.disjuncts
-                )
-                assert direct == via_dnf
-
-    def test_disjunct_length_bound(self):
-        rng = random.Random(67)
-        for _ in range(40):
-            f = rand_pformula(rng, depth=3)
-            for conj in p_dnf(f).disjuncts:
-                assert len(conj) <= size_p(f) - 1
+def _minterms(f):
+    """The (occurrences, bits) assignments under which f holds, in
+    itertools.product order."""
+    occs = _occurrences(f)
+    return occs, [
+        bits
+        for bits in itertools.product((True, False), repeat=len(occs))
+        if _eval_boolean(f, dict(zip(occs, bits)))
+    ]
 
 
 def columns_of(bodies, atoms):
@@ -118,31 +90,39 @@ class TestBuildSystem:
         f = parse_pformula("P>=1/2 p1")
         atoms = list(atoms_of(f))
         columns = columns_of([Prop(1)], atoms)
-        s = build_system([PLiteral(Prop(1), Rel.GE, F(1, 2))], columns)
+        s = build_system([f], (True,), columns)
         assert len(s.rows) == 2
         assert s.rows[0].coeffs == (F(1), F(1))
         assert s.rows[0].rel is Rel.EQ and s.rows[0].rhs == 1
+        assert s.rows[1].rel is Rel.GE and s.rows[1].rhs == F(1, 2)
         # membership row follows eval_under_atom
         expected = tuple(
             F(1) if eval_under_atom(Prop(1), a) else F(0) for a in atoms
         )
         assert s.rows[1].coeffs == expected
 
+    def test_one_row_per_bit(self):
+        f = parse_pformula("P>=1/2 p1 & P>=1/3 t:p1")
+        occs = [f.left, f.right]
+        columns = columns_of([g.body for g in occs], list(atoms_of(f)))
+        s = build_system(occs, (False, True), columns)
+        assert [(r.rel, r.rhs) for r in s.rows[1:]] == [
+            (Rel.LT, F(1, 2)),
+            (Rel.GE, F(1, 3)),
+        ]
+        assert s.rows[2].coeffs == columns[f.right.body]
+
     def test_empty_conjunction(self):
         f = parse_pformula("P>=1/2 p1")
         atoms = list(atoms_of(f))
-        s = build_system([], columns_of([Prop(1)], atoms))
+        s = build_system((), (), columns_of([Prop(1)], atoms))
         assert len(s.rows) == 1
 
     def test_empty_membership_is_infeasible_row(self):
         f = parse_pformula("P>=1 p1")
         neg_only = [a for a in atoms_of(f) if not a.signs[0]]
-        s = build_system(
-            [PLiteral(Prop(1), Rel.GE, F(1))], columns_of([Prop(1)], neg_only)
-        )
+        s = build_system([f], (True,), columns_of([Prop(1)], neg_only))
         assert s.rows[1].coeffs == (F(0),)
-        from pjsat.linrat import feasible
-
         assert feasible(s) is None
 
     def test_body_outside_basis(self):
@@ -163,6 +143,36 @@ class TestSolveSat:
 
     def test_threshold_zero_trivial(self):
         assert solve_sat(parse_pformula("P>=0 t:p1"), CS) is not None
+
+    def test_boolean_contradiction_tries_no_system(self):
+        systems = []
+        f = parse_pformula("P>=1 p1 & ~P>=1 p1")
+        assert solve_sat(f, CS, on_system=systems.append) is None
+        assert systems == []
+
+    def test_systems_follow_minterms(self):
+        # every system tried is one assignment to the occurrences under
+        # which f holds, in product order: all of them when f is UNSAT,
+        # a prefix ending at the feasible one when it is SAT
+        rng = random.Random(61)
+        unsats = 0
+        for _ in range(200):
+            f = rand_pformula(rng, depth=3)
+            occs, minterms = _minterms(f)
+            expected = [
+                [(Rel.GE if bit else Rel.LT, occ.threshold) for occ, bit in zip(occs, bits)]
+                for bits in minterms
+            ]
+            systems = []
+            m = solve_sat(f, CS, on_system=systems.append)
+            seen = [[(row.rel, row.rhs) for row in s.rows[1:]] for s in systems]
+            assert all(len(s.rows) <= size_p(f) for s in systems)
+            if m is None:
+                unsats += 1
+                assert seen == expected, f
+            else:
+                assert seen == expected[: len(seen)], f
+        assert unsats > 10
 
     def test_application_trap_unsat(self):
         f = parse_pformula("P>=1 s:~(p1 & ~p2) & P>=1 t:p1 & ~P>=1 (s.t):p2")
@@ -245,12 +255,11 @@ class TestSignatureDedup:
                 columns = list(zip(*(row.coeffs for row in s.rows)))
                 assert len(set(columns)) == len(columns)
             every_jsat = [a for a in atoms_of(f) if atom_jsat(a, CS)]
+            occs, minterms = _minterms(f)
+            columns = columns_of([occ.body for occ in occs], every_jsat)
             undeduplicated = any(
-                feasible(
-                    build_system(conj, columns_of([lit.body for lit in conj], every_jsat))
-                )
-                is not None
-                for conj in p_dnf(f).disjuncts
+                feasible(build_system(occs, bits, columns)) is not None
+                for bits in minterms
             )
             assert (m is not None) == undeduplicated, f
             if m is not None:
