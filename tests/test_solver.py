@@ -9,6 +9,7 @@ from pjsat.jsem import BasisMismatchError, atom_jsat, eval_under_atom, jformula_
 from pjsat.linrat import Rel, feasible
 from pjsat.solver import (
     SmallModel,
+    _p_occurrences,
     build_system,
     certify_model,
     check_model,
@@ -30,6 +31,7 @@ from pjsat.syntax import (
     parse_jformula,
     parse_pformula,
     size_p,
+    truth_test,
 )
 
 from _gen import THRESHOLDS, rand_jformula, rand_pformula, trap_jformula
@@ -83,6 +85,42 @@ def _minterms(f):
 def columns_of(bodies, atoms):
     """Each body's 0/1 column over the atoms, from eval_under_atom."""
     return {b: tuple(int(eval_under_atom(b, a)) for a in atoms) for b in bodies}
+
+
+class TestPDnf:
+    """The P-level DNF of f is the set of truth assignments to its AtLeast
+    occurrences under which it holds; solve_sat walks them lazily."""
+
+    def test_single_literal(self):
+        f = parse_pformula("P>=1/2 p1")
+        systems = []
+        assert solve_sat(f, CS, on_system=systems.append) is not None
+        assert [[(r.rel, r.rhs) for r in s.rows[1:]] for s in systems] == [
+            [(Rel.GE, F(1, 2))],
+        ]
+        # one column per signature of p1: true, then false
+        assert systems[0].rows[1].coeffs == (1, 0)
+
+    def test_boolean_equivalence(self):
+        # for every assignment to the occurrences, the predicate solve_sat
+        # filters assignments with agrees with f
+        rng = random.Random(61)
+        for _ in range(60):
+            f = rand_pformula(rng, depth=3)
+            occs = _occurrences(f)
+            assert _p_occurrences(f) == occs
+            holds = truth_test(f, {occ: i for i, occ in enumerate(occs)})
+            for bits in itertools.product((True, False), repeat=len(occs)):
+                assert holds(bits) == _eval_boolean(f, dict(zip(occs, bits)))
+
+    def test_disjunct_length_bound(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            f = rand_pformula(rng, depth=3)
+            systems = []
+            solve_sat(f, CS, on_system=systems.append)
+            for s in systems:
+                assert len(s.rows) - 1 <= size_p(f) - 1
 
 
 class TestBuildSystem:
