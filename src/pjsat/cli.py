@@ -61,12 +61,13 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("formula", help="path to the formula file ('-' for stdin)")
         p.add_argument("--cs", dest="cs_path", help="constant specification file")
-        p.add_argument(
-            "--cap",
-            type=_cap,
-            default=DEFAULT_ATOM_CAP,
-            help="atom enumeration cap on the basis size",
-        )
+        if name != "check":
+            p.add_argument(
+                "--cap",
+                type=_cap,
+                default=DEFAULT_ATOM_CAP,
+                help="atom enumeration cap on the basis size",
+            )
         p.add_argument("--require-injective", action="store_true")
         p.add_argument("--require-appropriate", action="store_true")
         if name == "sat":

@@ -21,20 +21,16 @@ reused across every atom of the formula.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .cspec import ConstantSpec, FMeta, TMeta, scheme_named, unify
 from .syntax import (
     App,
     Assert,
     Atom,
-    Bang,
     Const,
     JAnd,
     JNot,
-    Prop,
     Sum,
-    Var,
     basis_of,
     DEFAULT_ATOM_CAP,
     sign_tuples,
@@ -46,59 +42,15 @@ class BasisMismatchError(ValueError):
     """A formula mentions a basic subformula outside the atom's basis."""
 
 
-# --- substitutions over the two-sorted pattern language ---
-#
-# A substitution is the dict that ``cspec.unify`` builds, keyed by
-# metavariable nodes.
-
-def subst_apply(pat, subst):
-    """Apply a substitution to a formula or term pattern."""
-    if isinstance(pat, (FMeta, TMeta)):
-        bound = subst.get(pat)
-        return pat if bound is None else subst_apply(bound, subst)
-    if isinstance(pat, (Prop, Const, Var)):
-        return pat
-    if isinstance(pat, JNot):
-        return JNot(subst_apply(pat.body, subst))
-    if isinstance(pat, JAnd):
-        return JAnd(subst_apply(pat.left, subst), subst_apply(pat.right, subst))
-    if isinstance(pat, Assert):
-        return Assert(subst_apply(pat.term, subst), subst_apply(pat.body, subst))
-    if isinstance(pat, App):
-        return App(subst_apply(pat.left, subst), subst_apply(pat.right, subst))
-    if isinstance(pat, Sum):
-        return Sum(subst_apply(pat.left, subst), subst_apply(pat.right, subst))
-    if isinstance(pat, Bang):
-        return Bang(subst_apply(pat.inner, subst))
-    raise TypeError(f"bad pattern: {pat!r}")
-
-
 def _fresh_supply():
     counter = itertools.count()
     return lambda: f"_G{next(counter)}"
 
 
-@dataclass
-class AtomContext:
-    """The evidence-relevant content of an atom plus a constant spec."""
-
-    positives: tuple  # (Term, JFormula) pairs from positive assertions
-    negatives: tuple  # (Term, JFormula) pairs from negated assertions
-    cs: ConstantSpec
-
-    @classmethod
-    def from_atom(cls, atom: Atom, cs: ConstantSpec):
-        positives = []
-        negatives = []
-        for basic, sign in atom.literals():
-            if isinstance(basic, Assert):
-                (positives if sign else negatives).append((basic.term, basic.body))
-        return cls(tuple(positives), tuple(negatives), cs)
-
-
-def derives(ctx: AtomContext, t, phi, subst=None, fresh=None):
+def derives(positives, cs: ConstantSpec, t, phi, subst=None, fresh=None):
     """Yield every substitution under which phi belongs to the minimal
-    evidence set of term t generated by ctx's positives and constant spec.
+    evidence set of term t generated by the positive assertions, given as
+    (term, body) pairs, and the constant spec cs.
 
     Rules: (hyp) positives on exactly t; (cs) scheme/finite entries of a
     constant; (app) t = u.v via an implication with a fresh antecedent;
@@ -108,13 +60,13 @@ def derives(ctx: AtomContext, t, phi, subst=None, fresh=None):
         subst = {}
     if fresh is None:
         fresh = _fresh_supply()
-    for s, gamma in ctx.positives:
+    for s, gamma in positives:
         if s == t:
             s2 = unify(gamma, phi, subst)
             if s2 is not None:
                 yield s2
     if isinstance(t, Const):
-        for sname in sorted(ctx.cs.schemes_of(t.name)):
+        for sname in sorted(cs.schemes_of(t.name)):
             pat = scheme_named(sname).build(
                 FMeta(fresh()), FMeta(fresh()), FMeta(fresh()),
                 TMeta(fresh()), TMeta(fresh()),
@@ -122,7 +74,7 @@ def derives(ctx: AtomContext, t, phi, subst=None, fresh=None):
             s2 = unify(pat, phi, subst)
             if s2 is not None:
                 yield s2
-        for cname, psi in ctx.cs.finite:
+        for cname, psi in cs.finite:
             if cname == t.name:
                 s2 = unify(psi, phi, subst)
                 if s2 is not None:
@@ -130,16 +82,16 @@ def derives(ctx: AtomContext, t, phi, subst=None, fresh=None):
     elif isinstance(t, App):
         antecedent = FMeta(fresh())
         implication = JNot(JAnd(antecedent, JNot(phi)))
-        for s1 in derives(ctx, t.left, implication, subst, fresh):
-            yield from derives(ctx, t.right, antecedent, s1, fresh)
+        for s1 in derives(positives, cs, t.left, implication, subst, fresh):
+            yield from derives(positives, cs, t.right, antecedent, s1, fresh)
     elif isinstance(t, Sum):
-        yield from derives(ctx, t.left, phi, subst, fresh)
-        yield from derives(ctx, t.right, phi, subst, fresh)
+        yield from derives(positives, cs, t.left, phi, subst, fresh)
+        yield from derives(positives, cs, t.right, phi, subst, fresh)
 
 
 def _visited_terms(t):
-    """The terms whose positives ``derives(ctx, t, ...)`` can read: t and,
-    through application and sum (not '!'), their parts."""
+    """The terms whose positives ``derives`` can read when it starts from
+    t: t and, through application and sum (not '!'), their parts."""
     if isinstance(t, (App, Sum)):
         return {t} | _visited_terms(t.left) | _visited_terms(t.right)
     return {t}
@@ -152,9 +104,9 @@ def jsat_test(basis, cs: ConstantSpec):
 
     A negated ``t:phi`` at position j is forced or not depending only on
     the signs of its reads, the assertions whose term ``derives`` visits
-    from t.  The predicate decides each (j, signs at j's reads) once, on a
-    context holding only those positives, and remembers the verdict for
-    as long as the predicate lives.
+    from t.  The predicate decides each (j, signs at j's reads) once, from
+    only those positives, and remembers the verdict for as long as the
+    predicate lives.
     """
     asserts = [(j, b) for j, b in enumerate(basis) if isinstance(b, Assert)]
     checks = []
@@ -173,8 +125,7 @@ def jsat_test(basis, cs: ConstantSpec):
                 positives = tuple(
                     (basis[i].term, basis[i].body) for i in reads if signs[i]
                 )
-                ctx = AtomContext(positives, (), cs)
-                verdict = next(derives(ctx, b.term, b.body), None) is not None
+                verdict = next(derives(positives, cs, b.term, b.body), None) is not None
                 forced[key] = verdict
             if verdict:
                 return False

@@ -53,13 +53,6 @@ class Solution:
     values: tuple
 
 
-def make_system(rows, var_count):
-    out = []
-    for coeffs, rel, rhs in rows:
-        out.append(Row(tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs)))
-    return LinearSystem(tuple(out), var_count)
-
-
 def row_str(row: Row) -> str:
     terms = " + ".join(
         f"{rat_str(c)}*z{i + 1}" for i, c in enumerate(row.coeffs) if c != 0

@@ -227,10 +227,12 @@ def parse_model(text: str, f: PFormula) -> SmallModel:
         m = _WORLD_RE.match(ln)
         if m is None:
             raise ModelFormatError(f"bad model line: {ln!r}")
-        num, den = int(m.group(2)), int(m.group(3) or 1)
-        if den == 0:
-            raise ModelFormatError("zero denominator in weight")
-        weight = Fraction(num, den)
+        try:
+            weight = Fraction(int(m.group(2)), int(m.group(3) or 1))
+        except ZeroDivisionError:
+            raise ModelFormatError("zero denominator in weight") from None
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise ModelFormatError("weight numeral too long") from None
         try:
             conj = parse_jformula(m.group(4))
         except ParseError as exc:

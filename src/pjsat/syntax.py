@@ -186,39 +186,40 @@ _TOKEN_RE = re.compile(
   | (?P<pge>P>=)
   | (?P<plt>P<)
   | (?P<arrow>->)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<prop>p[0-9]+)(?![A-Za-z0-9_])
+  | (?P<var>x[0-9]+)(?![A-Za-z0-9_])
+  | (?P<const>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<num>\d+)
   | (?P<sym>[~&():.+!/|])
     """,
     re.VERBOSE,
 )
 
-_PROP_RE = re.compile(r"p\d+$")
-_VAR_RE = re.compile(r"x\d+$")
-
 
 def _tokenize(text):
+    """(kind, text, position, value) tuples; value is the int a numeral,
+    proposition or variable token reads as, else None."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
         kind = m.lastgroup
-        val = m.group()
         if kind != "ws":
-            if kind == "name":
-                if _PROP_RE.match(val):
-                    kind = "prop"
-                elif _VAR_RE.match(val):
-                    kind = "var"
-                else:
-                    kind = "const"
-            elif kind == "sym":
+            val = m.group()
+            value = None
+            if kind == "sym":
                 kind = val
-            tokens.append((kind, val, pos))
+            elif kind in ("num", "prop", "var"):
+                try:
+                    value = int(val.lstrip("px"))
+                except ValueError:  # longer than the interpreter's int-string limit
+                    raise ParseError("numeral too long", pos) from None
+            tokens.append((kind, val, pos, value))
         pos = m.end()
-    tokens.append(("eof", "", len(text)))
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens.append(("eof", "", len(text), None))
     return tokens
 
 
@@ -245,21 +246,22 @@ class _Parser:
         tok = self.tokens[self.i]
         raise ParseError(message, tok[2])
 
+    def chain(self, operand, symbol, join):
+        """operand (symbol operand)*, joined to the left."""
+        tokens = self.tokens
+        left = operand()
+        while tokens[self.i][0] == symbol:
+            self.i += 1
+            left = join(left, operand())
+        return left
+
     # terms
 
     def term(self):
-        t = self.tfactor()
-        while self.peek() == "+":
-            self.next()
-            t = Sum(t, self.tfactor())
-        return t
+        return self.chain(self.tfactor, "+", Sum)
 
     def tfactor(self):
-        t = self.tprim()
-        while self.peek() == ".":
-            self.next()
-            t = App(t, self.tprim())
-        return t
+        return self.chain(self.tprim, ".", App)
 
     def tprim(self):
         kind = self.peek()
@@ -269,7 +271,7 @@ class _Parser:
         if kind == "const":
             return Const(self.next()[1])
         if kind == "var":
-            return Var(int(self.next()[1][1:]))
+            return Var(self.next()[3])
         if kind == "(":
             self.next()
             t = self.term()
@@ -288,19 +290,10 @@ class _Parser:
         return left
 
     def jor(self):
-        f = self.jand()
-        while self.peek() == "|":
-            self.next()
-            g = self.jand()
-            f = JNot(JAnd(JNot(f), JNot(g)))
-        return f
+        return self.chain(self.jand, "|", lambda f, g: JNot(JAnd(JNot(f), JNot(g))))
 
     def jand(self):
-        f = self.jfactor()
-        while self.peek() == "&":
-            self.next()
-            f = JAnd(f, self.jfactor())
-        return f
+        return self.chain(self.jfactor, "&", JAnd)
 
     def jfactor(self):
         kind = self.peek()
@@ -308,7 +301,7 @@ class _Parser:
             self.next()
             return JNot(self.jfactor())
         if kind == "prop":
-            return Prop(int(self.next()[1][1:]))
+            return Prop(self.next()[3])
         if kind in ("const", "var", "!"):
             t = self.term()
             self.expect(":")
@@ -331,11 +324,7 @@ class _Parser:
     # probability formulas
 
     def pformula(self):
-        f = self.pfactor()
-        while self.peek() == "&":
-            self.next()
-            f = PAnd(f, self.pfactor())
-        return f
+        return self.chain(self.pfactor, "&", PAnd)
 
     def pfactor(self):
         kind = self.peek()
@@ -349,20 +338,17 @@ class _Parser:
             return f
         if kind in ("pge", "plt"):
             self.next()
-            s = self.rational()
-            body = self.jfactor()
-            if kind == "pge":
-                return AtLeast(s, body)
-            return PNot(AtLeast(s, body))
+            f = AtLeast(self.rational(), self.jfactor())
+            return f if kind == "pge" else PNot(f)
         self.fail("expected a probability formula")
 
     def rational(self):
         tok = self.expect("num")
-        num = int(tok[1])
+        num = tok[3]
         den = 1
         if self.peek() == "/":
             self.next()
-            den = int(self.expect("num")[1])
+            den = self.expect("num")[3]
             if den == 0:
                 raise ParseError("zero denominator", tok[2])
         r = Fraction(num, den)
@@ -371,25 +357,23 @@ class _Parser:
         return r
 
 
-def parse_pformula(text: str) -> PFormula:
+def _parse(text, rule):
     p = _Parser(text)
-    f = p.pformula()
+    tree = rule(p)
     p.expect("eof")
-    return f
+    return tree
+
+
+def parse_pformula(text: str) -> PFormula:
+    return _parse(text, _Parser.pformula)
 
 
 def parse_jformula(text: str) -> JFormula:
-    p = _Parser(text)
-    f = p.jformula()
-    p.expect("eof")
-    return f
+    return _parse(text, _Parser.jformula)
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.term()
-    p.expect("eof")
-    return t
+    return _parse(text, _Parser.term)
 
 
 # --- structural measures ---

@@ -175,6 +175,34 @@ class TestCsLoading:
         assert main(["jsat", f, "--cs", cs]) == 2
 
 
+BIG = "1" * 5000  # past CPython's default 4300-digit int-string limit
+
+
+class TestLongNumerals:
+    @pytest.mark.parametrize(
+        "command, formula, model, cs",
+        [
+            ("sat", f"P>=1/{BIG} p1", None, None),
+            ("valid", f"P>=1/{BIG} p1", None, None),
+            ("sat", f"P>=1/2 p{BIG}", None, None),
+            ("jsat", f"x{BIG}:p1", None, None),
+            ("check", "P>=1/2 p1", f"SAT\nworld 1 weight 1/{BIG} atom p1\n", None),
+            ("sat", "P>=1/2 p1", None, f"[finite]\nc : p{BIG}\n"),
+        ],
+        ids=["sat-threshold", "valid-threshold", "prop", "var", "model-weight", "cs-entry"],
+    )
+    def test_exit_two_without_traceback(self, tmp_path, capsys, command, formula, model, cs):
+        argv = [command, write(tmp_path, "f.pj", formula + "\n")]
+        if model is not None:
+            argv += ["--model", write(tmp_path, "m.out", model)]
+        if cs is not None:
+            argv += ["--cs", write(tmp_path, "cs.txt", cs)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 2
@@ -188,3 +216,10 @@ class TestUsage:
         for cap in ("0", "-1"):
             assert main(["sat", f, "--cap", cap]) == 2
             assert "--cap" in capsys.readouterr().err
+
+    def test_cap_only_where_it_bounds_an_enumeration(self, tmp_path, capsys):
+        f = write(tmp_path, "f.pj", "P>=1/2 p1 & P>=1/2 ~p1\n")
+        mpath = str(tmp_path / "m.out")
+        assert main(["sat", f, "--model-out", mpath, "--cap", "3"]) == 0
+        assert main(["check", f, "--model", mpath, "--cap", "3"]) == 2
+        assert "--cap" in capsys.readouterr().err

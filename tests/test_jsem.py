@@ -6,7 +6,6 @@ import pytest
 
 from pjsat.cspec import ConstantSpec, FMeta, TMeta, builtin_schemes, default_cs
 from pjsat.jsem import (
-    AtomContext,
     BasisMismatchError,
     atom_jsat,
     derives,
@@ -16,12 +15,16 @@ from pjsat.jsem import (
     unify,
 )
 from pjsat.syntax import (
+    App,
     Assert,
     Atom,
+    Bang,
     Const,
     JAnd,
     JNot,
     Prop,
+    Sum,
+    Var,
     atoms_of,
     basis_of,
     jimp,
@@ -52,6 +55,38 @@ def atom_from(text_pos, text_neg=(), props=()):
     return Atom(tuple(basics), tuple(signs))
 
 
+def assertions(atom, sign):
+    """The (term, body) pairs of the atom's assertions that carry sign."""
+    return tuple(
+        (b.term, b.body) for b, s in atom.literals() if isinstance(b, Assert) and s == sign
+    )
+
+
+# A substitution is the dict that ``cspec.unify`` builds, keyed by
+# metavariable nodes.
+
+def subst_apply(pat, subst):
+    """Apply a substitution to a formula or term pattern."""
+    if isinstance(pat, (FMeta, TMeta)):
+        bound = subst.get(pat)
+        return pat if bound is None else subst_apply(bound, subst)
+    if isinstance(pat, (Prop, Const, Var)):
+        return pat
+    if isinstance(pat, JNot):
+        return JNot(subst_apply(pat.body, subst))
+    if isinstance(pat, JAnd):
+        return JAnd(subst_apply(pat.left, subst), subst_apply(pat.right, subst))
+    if isinstance(pat, Assert):
+        return Assert(subst_apply(pat.term, subst), subst_apply(pat.body, subst))
+    if isinstance(pat, App):
+        return App(subst_apply(pat.left, subst), subst_apply(pat.right, subst))
+    if isinstance(pat, Sum):
+        return Sum(subst_apply(pat.left, subst), subst_apply(pat.right, subst))
+    if isinstance(pat, Bang):
+        return Bang(subst_apply(pat.inner, subst))
+    raise TypeError(f"bad pattern: {pat!r}")
+
+
 class TestUnify:
     def test_single_binding(self):
         A = FMeta("A")
@@ -76,8 +111,6 @@ class TestUnify:
         assert unify(Prop(1), Prop(2), {}) is None
 
     def test_unifier_makes_sides_equal(self):
-        from pjsat.jsem import subst_apply
-
         A, B = FMeta("A"), FMeta("B")
         x = JAnd(A, JNot(B))
         y = JAnd(Prop(1), JNot(Prop(2)))
@@ -88,31 +121,31 @@ class TestUnify:
 class TestDerives:
     def test_application_closure(self):
         a = atom_from(["s:~(p1 & ~p2)", "t:p1"])
-        ctx = AtomContext.from_atom(a, CS0)
-        assert next(derives(ctx, parse_term("s.t"), Prop(2)), None) is not None
+        positives = assertions(a, True)
+        assert next(derives(positives, CS0, parse_term("s.t"), Prop(2)), None) is not None
 
     def test_sum_closure(self):
         a = atom_from(["t:p1"])
-        ctx = AtomContext.from_atom(a, CS0)
-        assert next(derives(ctx, parse_term("t+u"), Prop(1)), None) is not None
+        positives = assertions(a, True)
+        assert next(derives(positives, CS0, parse_term("t+u"), Prop(1)), None) is not None
 
     def test_scheme_instance_via_unification(self):
         cs = ConstantSpec(schematic={"c1": frozenset({"SUM_L"})})
-        a = atom_from([], ["c1:p1"])  # context only needs the cs
-        ctx = AtomContext.from_atom(a, cs)
+        a = atom_from([], ["c1:p1"])  # no positives; only the cs derives
+        positives = assertions(a, True)
         goal = parse_jformula("x1:p1 -> (x1+x2):p1")
-        assert next(derives(ctx, Const("c1"), goal), None) is not None
+        assert next(derives(positives, cs, Const("c1"), goal), None) is not None
 
     def test_no_derivation(self):
         a = atom_from(["t:p1"])
-        ctx = AtomContext.from_atom(a, CS0)
-        assert next(derives(ctx, parse_term("t"), Prop(2)), None) is None
+        positives = assertions(a, True)
+        assert next(derives(positives, CS0, parse_term("t"), Prop(2)), None) is None
 
     def test_bang_admits_only_hypotheses(self):
         a = atom_from(["!t:p1", "t:(p1 -> p2)"])
-        ctx = AtomContext.from_atom(a, CS0)
-        assert next(derives(ctx, parse_term("!t"), Prop(1)), None) is not None
-        assert next(derives(ctx, parse_term("!t"), Prop(2)), None) is None
+        positives = assertions(a, True)
+        assert next(derives(positives, CS0, parse_term("!t"), Prop(1)), None) is not None
+        assert next(derives(positives, CS0, parse_term("!t"), Prop(2)), None) is None
 
 
 def _renaming(pattern, instance, mapping):
@@ -150,13 +183,12 @@ class TestRenamingApart:
         # derives binds the goal metavariable X to the scheme instance it
         # makes; two calls on one fresh supply make two instances
         cs = ConstantSpec(schematic={"c": frozenset({scheme.name})})
-        ctx = AtomContext((), (), cs)
         goal = FMeta("X")
         counter = itertools.count()
         fresh = lambda: f"_R{next(counter)}"  # noqa: E731
         renamings = []
         for _ in range(2):
-            (subst,) = derives(ctx, Const("c"), goal, {}, fresh)
+            (subst,) = derives((), cs, Const("c"), goal, {}, fresh)
             mapping = {}
             assert _renaming(scheme.pattern, subst[goal], mapping)
             assert len(set(mapping.values())) == len(mapping) > 0
@@ -213,10 +245,13 @@ class TestAtomJsat:
 
 
 def reference_jsat(atom, cs):
-    """Per-atom J-satisfiability: the whole atom's context, one derivation
-    search per negated assertion."""
-    ctx = AtomContext.from_atom(atom, cs)
-    return all(next(derives(ctx, s, gamma), None) is None for s, gamma in ctx.negatives)
+    """Per-atom J-satisfiability: all of the atom's positives, one
+    derivation search per negated assertion."""
+    positives = assertions(atom, True)
+    return all(
+        next(derives(positives, cs, s, gamma), None) is None
+        for s, gamma in assertions(atom, False)
+    )
 
 
 SHARED_TERMS = tuple(parse_term(t) for t in ("s", "t", "s.t", "t+s", "(s.t)+u", "!t"))

@@ -12,7 +12,6 @@ from pjsat.linrat import (
     UnboundedError,
     feasible,
     integerize,
-    make_system,
     satisfies,
     shrink_bound,
     shrink_solution,
@@ -26,8 +25,10 @@ from _oracles import fm_feasible
 F = Fraction
 
 
-def sys_of(rows, n):
-    return make_system(rows, n)
+def sys_of(rows, var_count):
+    """A system from (coeffs, rel, rhs) rows of numbers Fraction accepts."""
+    rows = tuple(Row(tuple(map(Fraction, c)), rel, Fraction(rhs)) for c, rel, rhs in rows)
+    return LinearSystem(rows, var_count)
 
 
 # The simplex on Fraction entries: the reference whose results and pivot

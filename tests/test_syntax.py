@@ -97,6 +97,17 @@ class TestParsing:
             parse_pformula("P>=1/2 p1 &")
         assert exc.value.pos == 11
 
+    def test_chains_associate_left(self):
+        a, b, c = Const("a"), Const("b"), Const("c")
+        p1, p2, p3 = Prop(1), Prop(2), Prop(3)
+        q1, q2, q3 = (AtLeast(Fraction(1), p) for p in (p1, p2, p3))
+        jor = lambda f, g: JNot(JAnd(JNot(f), JNot(g)))  # noqa: E731
+        assert parse_term("a+b+c") == Sum(Sum(a, b), c)
+        assert parse_term("a.b.c") == App(App(a, b), c)
+        assert parse_jformula("p1 & p2 & p3") == JAnd(JAnd(p1, p2), p3)
+        assert parse_jformula("p1 | p2 | p3") == jor(jor(p1, p2), p3)
+        assert parse_pformula("P>=1 p1 & P>=1 p2 & P>=1 p3") == PAnd(PAnd(q1, q2), q3)
+
 
 def _terms(depth):
     leaf = st.one_of(
