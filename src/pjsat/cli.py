@@ -8,7 +8,8 @@ Commands:
   check FILE    re-verify a model file against a formula
 
 Exit codes: 0 = SAT/VALID/true, 1 = UNSAT/NOT-VALID/false,
-2 = usage or parse error, 3 = enumeration cap exceeded.
+2 = usage or parse error, 3 = enumeration cap exceeded or a number too
+long to print.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .linrat import system_str
 from .syntax import (
     DEFAULT_ATOM_CAP,
     EnumerationLimitError,
+    OutputLimitError,
     ParseError,
     atoms_of,
     basis_of,
@@ -165,7 +167,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_TRUE
     try:
         return run(args)
-    except EnumerationLimitError as exc:
+    except (EnumerationLimitError, OutputLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (

@@ -15,7 +15,10 @@ in a derivation is renamed apart from every other.
 The filter is compiled once per formula (``jsat_test``): the search for a
 negated assertion reads only the positives on the terms it visits, so
 each verdict is decided once per sign pattern of those assertions and
-reused across every atom of the formula.
+reused across every atom of the formula.  The same filter names the
+assertions the constant specification derives on its own (CS-forced):
+no J-satisfiable atom negates one, so the sign-tuple walks of
+``jformula_sat`` and ``solver.solve_sat`` hold them true.
 """
 
 from __future__ import annotations
@@ -107,6 +110,12 @@ def jsat_test(basis, cs: ConstantSpec):
     from t.  The predicate decides each (j, signs at j's reads) once, from
     only those positives, and remembers the verdict for as long as the
     predicate lives.
+
+    ``test.cs_forced()`` lazily yields the positions of the assertions cs
+    derives with no positives, each decided as the memo entry of its
+    all-reads-negative key.  ``derives`` is monotone in the positives, so
+    every tuple that negates one fails the predicate: a walk may hold
+    them True.
     """
     asserts = [(j, b) for j, b in enumerate(basis) if isinstance(b, Assert)]
     checks = []
@@ -131,6 +140,17 @@ def jsat_test(basis, cs: ConstantSpec):
                 return False
         return True
 
+    def cs_forced():
+        for j, b, reads in checks:
+            key = (j, (False,) * len(reads))
+            verdict = forced.get(key)
+            if verdict is None:
+                verdict = next(derives((), cs, b.term, b.body), None) is not None
+                forced[key] = verdict
+            if verdict:
+                yield j
+
+    test.cs_forced = cs_forced
     return test
 
 
@@ -162,8 +182,10 @@ def eval_under_atom(phi, atom: Atom) -> bool:
 
 
 def jformula_sat(alpha, cs: ConstantSpec, cap: int = DEFAULT_ATOM_CAP) -> bool:
-    """Satisfiability of a justification formula, by atom enumeration."""
+    """Satisfiability of a justification formula, by atom enumeration over
+    the sign tuples that hold the CS-forced assertions true."""
     basis = basis_of(alpha)
     holds = truth_test(alpha, {b: i for i, b in enumerate(basis)})
     jsat = jsat_test(basis, cs)
-    return any(holds(s) and jsat(s) for s in sign_tuples(basis, cap))
+    fixed = jsat.cs_forced()
+    return any(holds(s) and jsat(s) for s in sign_tuples(basis, cap, fixed))

@@ -1,8 +1,9 @@
 """The decision procedure for probability formulas over justification logic.
 
 Satisfiability goes through three stages: walk the sign tuples over the
-formula's basis and keep, for each signature (the truth values of the
-probability literal bodies), the first one a basic evaluation can
+formula's basis, holding true the assertions the constant specification
+derives on its own, and keep, for each signature (the truth values of
+the probability literal bodies), the first one a basic evaluation can
 satisfy as an atom; then walk the truth assignments to the formula's
 probability literals one at a time, and translate each one under which
 the formula holds into an exact linear system over those sign tuples'
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cspec import ConstantSpec
-from .jsem import BasisMismatchError, atom_jsat, jsat_test, truth_values
+from .jsem import BasisMismatchError, jsat_test, truth_values
 from .linrat import LinearSystem, Rel, Row, feasible
 from .syntax import (
     Assert,
@@ -109,21 +110,25 @@ def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec = None):
         problems.append(f"too many worlds: {len(model.worlds)} > {size_p(f)}")
     total = sum((w for _, w in model.worlds), Fraction(0))
     if total != 1:
-        problems.append(f"weights sum to {total}, not 1")
+        problems.append(f"weights sum to {rat_str(total)}, not 1")
     bound = weight_size_bound(f)
     for i, (atom, w) in enumerate(model.worlds):
         if w <= 0:
-            problems.append(f"world {i + 1} has non-positive weight {w}")
+            problems.append(f"world {i + 1} has non-positive weight {rat_str(w)}")
         elif size_rat(w) > bound:
             problems.append(
-                f"world {i + 1} weight {w} has size {size_rat(w)} > {bound}"
+                f"world {i + 1} weight {rat_str(w)} has size {size_rat(w)} > {bound}"
             )
     atoms = [a for a, _ in model.worlds]
     if len(set(atoms)) != len(atoms):
         problems.append("duplicate atom across worlds")
     if cs is not None:
+        filters = {}  # one J-filter per distinct world basis
         for i, (atom, _) in enumerate(model.worlds):
-            if not atom_jsat(atom, cs):
+            jsat = filters.get(atom.basis)
+            if jsat is None:
+                jsat = filters[atom.basis] = jsat_test(atom.basis, cs)
+            if not jsat(atom.signs):
                 problems.append(f"world {i + 1} atom is not J-satisfiable")
     if not check_model(model, f):
         problems.append("model does not satisfy the formula")
@@ -140,8 +145,11 @@ def solve_sat(
 
     Sign tuples with the same signature give identical columns, so each
     signature keeps one column: its first J-satisfiable sign tuple in
-    enumeration order.  Sign tuples of a signature that already has one
-    are not J-checked.  Each body's column is read off the signatures.
+    enumeration order.  The walk holds the CS-forced assertions true,
+    since every tuple that negates one is J-unsatisfiable, and sign tuples
+    of a signature that already has a representative are not J-checked;
+    neither skip changes a representative.  Each body's column is read
+    off the signatures.
     The truth assignments to the AtLeast occurrences are walked in
     ``itertools.product`` order, and each one under which the formula
     holds is tried as a linear system; the first feasible one wins.  Its
@@ -155,7 +163,7 @@ def solve_sat(
     tests = [truth_test(body, index) for body in bodies]
     jsat = jsat_test(basis, cs)
     reps = {}
-    for signs in sign_tuples(basis, cap):
+    for signs in sign_tuples(basis, cap, jsat.cs_forced()):
         key = tuple([test(signs) for test in tests])
         if key not in reps and jsat(signs):
             reps[key] = signs

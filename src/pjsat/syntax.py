@@ -34,6 +34,10 @@ class EnumerationLimitError(RuntimeError):
     """Raised when an atom enumeration would exceed the configured cap."""
 
 
+class OutputLimitError(RuntimeError):
+    """Raised when a number is too long for the interpreter to print."""
+
+
 # --- terms ---
 
 @dataclass(frozen=True)
@@ -131,9 +135,12 @@ def jimp(a, b):
 # --- printing ---
 
 def rat_str(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    try:
+        if r.denominator == 1:
+            return str(r.numerator)
+        return f"{r.numerator}/{r.denominator}"
+    except ValueError:  # past the interpreter's int-to-string digit limit
+        raise OutputLimitError("a number has too many digits to print") from None
 
 
 def term_str(t: Term, prec: int = 0) -> str:
@@ -458,17 +465,22 @@ class Atom:
 DEFAULT_ATOM_CAP = 20
 
 
-def sign_tuples(basis, cap: int = DEFAULT_ATOM_CAP):
-    """An iterator over all 2^|basis| sign tuples, each exactly once, in a
-    fixed order.  An empty basis or one past the cap is refused when this
-    is called, before any tuple is made."""
+def sign_tuples(basis, cap: int = DEFAULT_ATOM_CAP, fixed=()):
+    """An iterator over the sign tuples whose positions in ``fixed`` are
+    True, each exactly once, in ``itertools.product`` order over
+    ``(True, False)`` (all 2^|basis| tuples when nothing is fixed).  An
+    empty basis or one past the cap is refused when this is called, before
+    any tuple is made and before ``fixed``, which may be lazy, is read."""
     if len(basis) == 0:
         raise ValueError("formula has no basic subformulas")
     if len(basis) > cap:
         raise EnumerationLimitError(
             f"basis has {len(basis)} entries, enumeration cap is {cap}"
         )
-    return itertools.product((True, False), repeat=len(basis))
+    fixed = frozenset(fixed)
+    return itertools.product(
+        *[(True,) if i in fixed else (True, False) for i in range(len(basis))]
+    )
 
 
 def atoms_of(f, cap: int = DEFAULT_ATOM_CAP):

@@ -109,6 +109,32 @@ def trap_jformula(rng, consts=("s", "t")):
     )
 
 
+_TAUT1, _TAUT2, _S, _T = (Const(c) for c in ("c_taut1", "c_taut2", "s", "t"))
+CS_TERMS = (
+    _TAUT1, _TAUT2, _S, App(_TAUT1, _TAUT1), App(App(_TAUT2, _TAUT1), _TAUT1),
+    Sum(_TAUT1, _TAUT2), Sum(_TAUT1, _S), App(Sum(_TAUT1, _TAUT2), Sum(_TAUT1, _TAUT2)),
+    App(_S, _T), App(_TAUT1, _S),
+)
+
+
+def cs_assert_jformula(rng, assertions=3):
+    """A conjunction of assertions and negated assertions over terms built
+    from the default constant specification's TAUT1 and TAUT2 constants
+    and from s and t, with bodies that are random formulas or the
+    tautologies a -> (b -> a) and a -> a: some assertions are derivable
+    from the constant specification alone, some only from other
+    positives, some not at all."""
+    a, b = rand_jformula(rng, 1, props=2), rand_jformula(rng, 1, props=2)
+    bodies = (a, b, jimp(a, jimp(b, a)), jimp(b, jimp(a, b)), jimp(a, a), jimp(a, b))
+    phi = None
+    for _ in range(assertions):
+        g = Assert(rng.choice(CS_TERMS), rng.choice(bodies))
+        if rng.random() < 0.3:
+            g = JNot(g)
+        phi = g if phi is None else JAnd(phi, g)
+    return phi
+
+
 def rand_system_with_point(rng, max_rows=5, max_vars=6):
     """Random integer-coefficient system plus a non-negative point that
     satisfies it by construction."""

@@ -202,6 +202,28 @@ class TestLongNumerals:
         assert "error:" in err
         assert "Traceback" not in err
 
+    # each numeral is under the limit, but the model's weights are not
+    A, B = "7" + "3" * 2501, "9" + "1" * 2501
+
+    @pytest.mark.parametrize(
+        "command, formula, model, flags",
+        [
+            ("sat", f"P>=1/{A} p1 & P>=1/{B} p2 & ~P>=1/2 (p1 & p2) & P>=1/{A} (p1 & ~p2)", None, []),
+            ("sat", f"P>=1/{A} p1 & P>=1/{B} p2 & ~P>=1/2 (p1 & p2) & P>=1/{A} (p1 & ~p2)", None, ["--dump-lp"]),
+            ("check", "P>=0 p1", f"SAT\nworld 1 weight 1/{A} atom p1\nworld 2 weight 1/{B} atom ~p1\n", []),
+        ],
+        ids=["sat", "sat-dump-lp", "check-weight-sum"],
+    )
+    def test_long_output_number_exit_three(self, tmp_path, capsys, command, formula, model, flags):
+        argv = [command, write(tmp_path, "f.pj", formula + "\n")] + flags
+        if model is not None:
+            argv += ["--model", write(tmp_path, "m.out", model)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert "SAT" not in captured.out and "check" not in captured.out
+
 
 class TestUsage:
     def test_no_command(self):

@@ -34,7 +34,7 @@ from pjsat.syntax import (
 )
 from pjsat.solver import solve_sat
 
-from _gen import rand_atom_for, rand_jformula
+from _gen import cs_assert_jformula, rand_atom_for, rand_jformula
 from _oracles import jsat_oracle, tt_eval
 
 CS0 = ConstantSpec()  # empty constant specification
@@ -292,6 +292,55 @@ class TestJsatTest:
         assert junsat > 0
 
 
+    @pytest.mark.parametrize(
+        "cs",
+        [CS0, default_cs(), ConstantSpec(schematic={"s": frozenset({"TAUT1"})})],
+        ids=["CS0", "default_cs", "s_taut1"],
+    )
+    def test_cs_forced_positions(self, cs):
+        # an assertion is CS-forced iff it is true in every J-satisfiable
+        # sign tuple (the tuple that holds only the CS-forced assertions
+        # true adds nothing to the closure of cs alone), judged per atom
+        rng = random.Random(41)
+        forced_seen = unforced_lone_junsat = 0
+        for _ in range(150):
+            phi = cs_assert_jformula(rng, rng.randint(2, 4))
+            basis = basis_of(phi)
+            jsat = jsat_test(basis, cs)
+            forced = list(jsat.cs_forced())
+            jsat_tuples = [a.signs for a in atoms_of(phi) if reference_jsat(a, cs)]
+            expected = [
+                j for j, b in enumerate(basis)
+                if isinstance(b, Assert) and all(t[j] for t in jsat_tuples)
+            ]
+            assert forced == expected, phi
+            # read after cs_forced, the predicate's shared memo still
+            # judges every tuple as the per-atom reference does
+            atoms = list(atoms_of(phi))
+            assert [jsat(a.signs) for a in atoms] == [reference_jsat(a, cs) for a in atoms]
+            forced_seen += len(forced)
+            for j, b in enumerate(basis):
+                lone = Atom(basis, tuple(i != j for i in range(len(basis))))
+                if isinstance(b, Assert) and j not in forced and not reference_jsat(lone, cs):
+                    unforced_lone_junsat += 1
+        assert (forced_seen > 0) == (cs != CS0)
+        assert unforced_lone_junsat > 0
+
+    def test_cs_forced_hand_written(self):
+        cs = default_cs()
+        phi = parse_jformula(
+            "c_taut1:(p1 -> (p2 -> p1)) & s:p1 & ~(s+t):p1"
+            " & ((c_taut2.c_taut1).c_taut1):(p2 -> p2)"
+        )
+        basis = basis_of(phi)
+        forced = [basis[j] for j in jsat_test(basis, cs).cs_forced()]
+        # (s+t):p1 follows from s:p1, not from the constant specification
+        assert forced == [
+            parse_jformula("c_taut1:(p1 -> (p2 -> p1))"),
+            parse_jformula("((c_taut2.c_taut1).c_taut1):(p2 -> p2)"),
+        ]
+
+
 class TestEvalUnderAtom:
     def test_literal_lookup(self):
         a = atom_from(["p1"], ["t:p2"])
@@ -358,6 +407,28 @@ class TestJformulaSat:
             expected = jformula_sat(phi, cs)
             assert jformula_sat(JAnd(phi, phi), cs) == expected
             assert jformula_sat(JNot(JNot(phi)), cs) == expected
+
+
+    def test_matches_unfixed_enumeration(self):
+        # every atom, none held fixed, judged by truth tables and the
+        # per-atom reference filter
+        rng = random.Random(43)
+        cs = default_cs()
+        verdicts = set()
+        for i in range(200):
+            if i % 2:
+                phi = cs_assert_jformula(rng, rng.randint(2, 4))
+            else:
+                phi = rand_jformula(rng, depth=3, consts=("c_taut1", "c_taut2", "s", "t"))
+            for psi in (phi, JNot(phi)):
+                if len(basis_of(psi)) > 6:
+                    continue
+                expected = any(
+                    tt_eval(psi, a) and reference_jsat(a, cs) for a in atoms_of(psi)
+                )
+                assert jformula_sat(psi, cs) == expected, psi
+                verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestAgainstSaturationOracle:

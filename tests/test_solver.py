@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pjsat.cspec import default_cs
-from pjsat.jsem import BasisMismatchError, atom_jsat, eval_under_atom, jformula_sat
+from pjsat.jsem import BasisMismatchError, atom_jsat, eval_under_atom, jformula_sat, jsat_test
 from pjsat.linrat import Rel, feasible
 from pjsat.solver import (
     SmallModel,
@@ -34,7 +34,7 @@ from pjsat.syntax import (
     truth_test,
 )
 
-from _gen import THRESHOLDS, rand_jformula, rand_pformula, trap_jformula
+from _gen import THRESHOLDS, cs_assert_jformula, rand_jformula, rand_pformula, trap_jformula
 
 CS = default_cs()
 F = Fraction
@@ -308,6 +308,57 @@ class TestSignatureDedup:
         # the corpus exercises both verdicts and actually merges columns
         assert 0 < sats < tried
         assert merged > tried // 2
+
+    HAND_WRITTEN = (
+        # B(7)+U-shaped: a TAUT1 assertion under an implication
+        "P>=1/3 (p1 | p2) & P>=1/4 (p2 | p3) & P>=0 (p1 & p2 & p3 & p4)"
+        " & P>=1/3 (s:p1 -> c_taut1:(p1 -> (p2 -> p1))) & ~P>=1/4 (s.t):p2"
+        " & ~(~P>=1 ~p1 & ~P>=1 ~p2) & P>=1/2 p1 & P>=1/2 p2",
+        # E(2,2)-shaped: deep sums of TAUT constants, and the I combinator
+        "P>=1/2 ((c_taut1+c_taut2).(c_taut1+c_taut2)):(p1 -> p1)"
+        " & P>=1/3 ((c_taut1+c_taut2).(c_taut1+c_taut2)):(p1 -> (p2 -> p1))"
+        " & P>=1/2 (s:p1 & t:p2)",
+        "P>=1/2 (s:p1 & t:p2) & P>=1/2 ~((c_taut2.c_taut1).c_taut1):(p1 -> p1)",
+        "P>=1/2 c_taut1:(p1 -> (p2 -> p1)) & ~P>=1/2 (c_taut1+s):(p1 -> (p2 -> p1))",
+    )
+
+    def test_fixed_walk_keeps_representatives(self):
+        # solve_sat's columns equal those of a walk over every sign tuple
+        # that keeps, per signature, the first one atom_jsat accepts
+        rng = random.Random(89)
+        formulas = [parse_pformula(t) for t in self.HAND_WRITTEN]
+        while len(formulas) < 120:
+            if len(formulas) % 2:
+                f = rand_pformula(rng, depth=3, consts=("c_taut1", "c_taut2", "s", "t"))
+            else:
+                f = AtLeast(rng.choice(THRESHOLDS), cs_assert_jformula(rng))
+                for _ in range(rng.randint(1, 3)):
+                    g = AtLeast(rng.choice(THRESHOLDS), cs_assert_jformula(rng, 2))
+                    f = PAnd(f, PNot(g) if rng.random() < 0.4 else g)
+            if len(basis_of(f)) <= 8:
+                formulas.append(f)
+        compared = with_forced = 0
+        for f in formulas:
+            basis = basis_of(f)
+            bodies = list(dict.fromkeys(occ.body for occ in _occurrences(f)))
+            reps = {}
+            for signs in itertools.product((True, False), repeat=len(basis)):
+                a = Atom(basis, signs)
+                key = tuple(eval_under_atom(body, a) for body in bodies)
+                if key not in reps and atom_jsat(a, CS):
+                    reps[key] = signs
+            expected = {body: tuple(int(k[i]) for k in reps) for i, body in enumerate(bodies)}
+            systems = []
+            solve_sat(f, CS, on_system=systems.append)
+            occs = _occurrences(f)
+            for system in systems:
+                assert [row.coeffs for row in system.rows[1:]] == [
+                    expected[occ.body] for occ in occs
+                ], f
+                compared += 1
+            with_forced += bool(list(jsat_test(basis, CS).cs_forced()))
+        assert compared > 100
+        assert with_forced > 25
 
 
 class TestCheckModel:

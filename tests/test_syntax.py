@@ -250,6 +250,29 @@ class TestAtoms:
         with pytest.raises(EnumerationLimitError):
             atoms_of(parse_jformula("p1 & p2 & p3"), cap=2)
 
+    def test_sign_tuples_fixed_positions(self):
+        # the full product order, filtered to the tuples true at `fixed`
+        for n in range(1, 7):
+            basis = basis_of(parse_jformula(" & ".join(f"p{i}" for i in range(1, n + 1))))
+            full = list(itertools.product((True, False), repeat=n))
+            for r in range(n + 1):
+                for fixed in itertools.combinations(range(n), r):
+                    expected = [t for t in full if all(t[i] for i in fixed)]
+                    assert list(sign_tuples(basis, fixed=fixed)) == expected
+                    assert list(sign_tuples(basis, n, iter(fixed))) == expected
+
+    def test_sign_tuples_fixed_refused_over_cap(self):
+        basis = basis_of(parse_jformula("p1 & p2 & p3"))
+
+        def unread():
+            raise AssertionError("fixed positions read before the cap check")
+            yield
+
+        with pytest.raises(EnumerationLimitError):
+            sign_tuples(basis, cap=2, fixed=(0, 1, 2))
+        with pytest.raises(EnumerationLimitError):
+            sign_tuples(basis, cap=2, fixed=unread())
+
     def test_atom_string_round_trips_by_signs(self):
         f = parse_jformula("p1 & t:p2")
         for atom in atoms_of(f):
