@@ -5,23 +5,23 @@ formula's basis, holding true the assertions the constant specification
 derives on its own, and keep, for each signature (the truth values of
 the probability literal bodies), the first one a basic evaluation can
 satisfy as an atom; then walk the truth assignments to the formula's
-probability literals one at a time, and translate each one under which
-the formula holds into an exact linear system over those sign tuples'
-weights, whose 0/1 coefficients are read off the signatures; read the
-model off the first feasible system's solution.  No assignment past the
-first feasible one is built.  The simplex returns a basic solution, so
-the model has at most one world per row and weights of certified size;
-``certify_model`` checks both on every model.
+probability literals under which the formula holds (``syntax.assignments``,
+a depth-first walk that drops every prefix already falsifying the
+formula), and translate each one into an exact linear system over those
+sign tuples' weights, whose 0/1 coefficients are read off the
+signatures; read the model off the first feasible system's solution.  No
+assignment past the first feasible one is built.  The simplex returns a
+basic solution, so the model has at most one world per row and weights
+of certified size; ``certify_model`` checks both on every model.
 
 Both levels of Boolean structure are evaluated by one compiled test,
 ``syntax.truth_test``: the formula over the truth values of its
-probability literals (in the assignment walk and in the model check),
-and each literal body over an atom's signs.
+probability literals (three-valued over the walk's partial assignments,
+and in the model check), and each literal body over an atom's signs.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +40,7 @@ from .syntax import (
     PNot,
     ParseError,
     Prop,
+    assignments,
     basis_of,
     jformula_str,
     parse_jformula,
@@ -150,9 +151,11 @@ def solve_sat(
     of a signature that already has a representative are not J-checked;
     neither skip changes a representative.  Each body's column is read
     off the signatures.
-    The truth assignments to the AtLeast occurrences are walked in
-    ``itertools.product`` order, and each one under which the formula
-    holds is tried as a linear system; the first feasible one wins.  Its
+    The truth assignments to the AtLeast occurrences under which the
+    formula holds are walked in ``itertools.product`` order by
+    ``assignments``, which fixes them left to right and drops every
+    prefix under which the formula is already False, and each is tried
+    as a linear system; the first feasible one wins.  Its
     basic solution is the model, one world per positive weight (the only
     sign tuples made into Atoms), and is certified before being returned.
     """
@@ -168,10 +171,7 @@ def solve_sat(
         if key not in reps and jsat(signs):
             reps[key] = signs
     columns = {body: tuple(map(int, col)) for body, col in zip(bodies, zip(*reps))}
-    holds = truth_test(f, {occ: i for i, occ in enumerate(occs)})
-    for bits in itertools.product((True, False), repeat=len(occs)):
-        if not holds(bits):
-            continue
+    for bits in assignments(f, {occ: i for i, occ in enumerate(occs)}, len(occs)):
         system = build_system(occs, bits, columns)
         if on_system is not None:
             on_system(system)

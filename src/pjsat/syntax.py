@@ -8,7 +8,8 @@ Three layers of syntax:
     assertions ``t : body``;
   * probability formulas: ``P>=s body``, negation and conjunction.
 
-All nodes are frozen dataclasses, so values are hashable and shareable.
+All nodes are frozen dataclasses, so values are hashable and shareable;
+each composite node computes its hash once and keeps it (``_node``).
 Thresholds are stored as reduced ``fractions.Fraction`` in [0, 1].
 """
 
@@ -38,6 +39,31 @@ class OutputLimitError(RuntimeError):
     """Raised when a number is too long for the interpreter to print."""
 
 
+def _node(cls):
+    """A frozen dataclass whose hash is computed once, on first use, and
+    kept on the instance outside its fields, so a lookup no longer
+    re-hashes the whole subtree.  Equality, repr and fields are the
+    dataclass's own; pickling drops the kept hash, since string hashes
+    differ between processes."""
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = fields_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls._hash = None  # a class default, so the first lookup raises nothing
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 # --- terms ---
 
 @dataclass(frozen=True)
@@ -54,19 +80,19 @@ class Var:
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class App:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@_node
 class Sum:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@_node
 class Bang:
     inner: "Term"
 
@@ -81,18 +107,18 @@ class Prop:
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class JNot:
     body: "JFormula"
 
 
-@dataclass(frozen=True)
+@_node
 class JAnd:
     left: "JFormula"
     right: "JFormula"
 
 
-@dataclass(frozen=True)
+@_node
 class Assert:
     term: Term
     body: "JFormula"
@@ -103,7 +129,7 @@ JFormula = Prop | JNot | JAnd | Assert
 
 # --- probability formulas ---
 
-@dataclass(frozen=True)
+@_node
 class AtLeast:
     threshold: Fraction
     body: JFormula
@@ -113,12 +139,12 @@ class AtLeast:
             raise ValueError(f"threshold {self.threshold} outside [0,1]")
 
 
-@dataclass(frozen=True)
+@_node
 class PNot:
     body: "PFormula"
 
 
-@dataclass(frozen=True)
+@_node
 class PAnd:
     left: "PFormula"
     right: "PFormula"
@@ -409,14 +435,63 @@ def truth_test(f, index):
     """Compile the Boolean structure of f into a predicate over a sequence
     of truth values.  Negation and conjunction of either language are the
     connectives; any other node is a leaf, read at position ``index[node]``
-    (a KeyError when the leaf is not in ``index``)."""
+    (a KeyError when the leaf is not in ``index``).
+
+    The predicate is three-valued (Kleene): a leaf read as None is
+    unknown, ``~x`` is unknown when x is, and ``x & y`` is False when
+    either side is False, True when both are, and unknown (None)
+    otherwise.  On a sequence of bools it is the two-valued test."""
     if isinstance(f, (JNot, PNot)):
         body = truth_test(f.body, index)
-        return lambda values: not body(values)
+        return lambda values: None if (v := body(values)) is None else not v
     if isinstance(f, (JAnd, PAnd)):
         left, right = truth_test(f.left, index), truth_test(f.right, index)
-        return lambda values: left(values) and right(values)
+        return lambda values: (
+            False
+            if (a := left(values)) is False or (b := right(values)) is False
+            else a and b
+        )
     return operator.itemgetter(index[f])
+
+
+def assignments(f, index, n):
+    """The truth assignments of length n under which f holds (read by
+    ``truth_test(f, index)``), in ``itertools.product`` order over
+    ``(True, False)``: the filtered product, without testing all 2^n.
+
+    A depth-first walk that fixes positions left to right, True before
+    False.  Below an undecided prefix it first tests the one completion
+    that is True everywhere else, the first in product order; then, from
+    the last position back, each prefix that turns one more of those
+    Trues to False is tested three-valued: dropped with all its
+    completions when f is False under it, yielded with every completion
+    untested when f is True, and walked the same way when undecided."""
+    holds = truth_test(f, index)
+    values = [True] * n
+    if holds(values):
+        yield tuple(values)
+    outer = []  # (k, j) of each enclosing undecided prefix and its loop
+    k, j = 0, n  # values[:k] is the undecided prefix; j the last flip
+    while True:
+        j -= 1
+        if j < k:
+            if not outer:
+                return
+            k, j = outer.pop()
+            continue
+        values[j] = False
+        values[j + 1:] = [None] * (n - 1 - j)
+        verdict = holds(values)
+        if verdict is None:
+            outer.append((k, j))
+            k, j = j + 1, n
+            values[k:] = [True] * (n - k)
+            if holds(values):
+                yield tuple(values)
+        elif verdict:
+            prefix = tuple(values[: j + 1])
+            for rest in itertools.product((True, False), repeat=n - 1 - j):
+                yield prefix + rest
 
 
 def basis_of(f):

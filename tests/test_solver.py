@@ -89,7 +89,8 @@ def columns_of(bodies, atoms):
 
 class TestPDnf:
     """The P-level DNF of f is the set of truth assignments to its AtLeast
-    occurrences under which it holds; solve_sat walks them lazily."""
+    occurrences under which it holds; solve_sat walks them lazily, dropping
+    every prefix of an assignment under which f is already False."""
 
     def test_single_literal(self):
         f = parse_pformula("P>=1/2 p1")
@@ -121,6 +122,22 @@ class TestPDnf:
             solve_sat(f, CS, on_system=systems.append)
             for s in systems:
                 assert len(s.rows) - 1 <= size_p(f) - 1
+
+    def test_wide_conjunction_tries_one_system(self):
+        # 60 lower bounds over two bodies: of the 2^61 assignments only one
+        # satisfies the P-level, and the walk reaches it without trying the
+        # rest; the contradicting literal makes its system infeasible
+        bodies = ("(p1 | p2)", "(p1 & ~p2)")
+        bounds = " & ".join(f"P>={j}/61 {bodies[j % 2]}" for j in range(1, 61))
+        f = parse_pformula(bounds + " & ~P>=1/3 (p1 | p2)")
+        systems = []
+        assert solve_sat(f, CS, on_system=systems.append) is None
+        assert len(systems) == 1
+        assert [r.rel for r in systems[0].rows[1:]] == [Rel.GE] * 60 + [Rel.LT]
+        sibling = parse_pformula(bounds)
+        m = solve_sat(sibling, CS)
+        assert m is not None
+        assert certify_model(m, sibling, CS) == []
 
 
 class TestBuildSystem:

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from pjsat.syntax import (
     Prop,
     Sum,
     Var,
+    assignments,
     atoms_of,
     basis_of,
     jformula_str,
@@ -339,6 +342,38 @@ class TestTruthTest:
             for bits in itertools.product((True, False), repeat=len(occs)):
                 assert test(bits) == _dict_eval(f, dict(zip(occs, bits)))
 
+    def test_partial_verdicts_agree_with_every_completion(self):
+        # None marks an unknown leaf; a decided verdict must be the value
+        # of f under every way of filling the unknowns in
+        rng = random.Random(97)
+        decided = 0
+        for _ in range(300):
+            f = rand_pformula(rng, depth=3)
+            occs = _p_occurrences(f)
+            test = truth_test(f, {occ: i for i, occ in enumerate(occs)})
+            partial = [rng.choice((True, False, None)) for _ in occs]
+            verdict = test(partial)
+            if verdict is None:
+                continue
+            decided += 1
+            unknown = [i for i, v in enumerate(partial) if v is None]
+            for fill in itertools.product((True, False), repeat=len(unknown)):
+                full = list(partial)
+                for i, v in zip(unknown, fill):
+                    full[i] = v
+                assert verdict == _dict_eval(f, dict(zip(occs, full))), f
+        assert decided > 100
+
+    def test_kleene_verdicts_by_hand(self):
+        f = parse_pformula("~(P>=1/2 p1 & ~P>=1 p2) & P>=1/3 p3")
+        occs = _p_occurrences(f)
+        test = truth_test(f, {occ: i for i, occ in enumerate(occs)})
+        assert test([None] * 3) is None
+        assert test([None, None, False]) is False
+        assert test([True, False, None]) is False
+        assert test([True, True, None]) is None
+        assert test([False, None, True]) is True
+
     def test_leaf_outside_index(self):
         with pytest.raises(KeyError):
             truth_test(parse_jformula("p1 & ~t:p2"), {Prop(1): 0})
@@ -352,3 +387,85 @@ class TestTruthTest:
             parse_pformula("P>=1 p1"),
             parse_pformula("P>=0 p3"),
         ]
+
+
+class TestAssignments:
+    def test_matches_filtered_product(self):
+        rng = random.Random(101)
+        for _ in range(600):
+            f = rand_pformula(rng, depth=rng.randrange(1, 5))
+            occs = _p_occurrences(f)
+            n = len(occs)
+            expected = [
+                bits
+                for bits in itertools.product((True, False), repeat=n)
+                if _dict_eval(f, dict(zip(occs, bits)))
+            ]
+            index = {occ: i for i, occ in enumerate(occs)}
+            assert list(assignments(f, index, n)) == expected, f
+
+    def test_wide_conjunction_yields_its_one_assignment(self):
+        # 2^80 assignments, one of which satisfies f
+        lits = [f"P>={j}/81 p{j % 3}" for j in range(1, 80)] + ["~P>=1/2 p5"]
+        f = parse_pformula(" & ".join(lits))
+        occs = _p_occurrences(f)
+        index = {occ: i for i, occ in enumerate(occs)}
+        assert list(assignments(f, index, 80)) == [(True,) * 79 + (False,)]
+
+    def test_decided_prefix_yields_every_completion(self):
+        # the first literal true decides the disjunction; all completions
+        # follow in product order, then those with it false
+        f = parse_pformula("~(~P>=1/2 p1 & ~(P>=1/2 p2 & P>=1/2 p3))")
+        occs = _p_occurrences(f)
+        index = {occ: i for i, occ in enumerate(occs)}
+        assert list(assignments(f, index, 3)) == [
+            (True, True, True),
+            (True, True, False),
+            (True, False, True),
+            (True, False, False),
+            (False, True, True),
+        ]
+
+
+class TestNodeHash:
+    TEXT = "P>=1/2 (s.!t+x1):(p1 & ~p2) & ~P>=1/3 t:p3"
+
+    def test_equal_nodes_hash_equal_before_and_after_hashing(self):
+        a, b = parse_pformula(self.TEXT), parse_pformula(self.TEXT)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        c = parse_pformula(self.TEXT)
+        hash(c.right.body.body)  # a subtree first, then the root
+        assert c == a
+        assert hash(c) == hash(a)
+        assert a == parse_pformula(self.TEXT)
+
+    def test_hash_is_kept_and_reused(self):
+        a = parse_pformula(self.TEXT)
+        h = hash(a)
+        assert a._hash == h
+        assert hash(a) == h
+
+    def test_dict_key_found_through_fresh_node(self):
+        keyed = {g: i for i, g in enumerate(subf(parse_pformula(self.TEXT)))}
+        for g in subf(parse_pformula(self.TEXT)):
+            assert g in keyed
+        assert keyed[parse_jformula("t:p3")] >= 0
+
+    def test_repr_and_fields_unchanged_by_hashing(self):
+        a = parse_pformula(self.TEXT)
+        before = repr(a)
+        hash(a)
+        assert repr(a) == before
+        assert "_hash" not in before
+        assert [f.name for f in dataclasses.fields(a)] == ["left", "right"]
+        assert dataclasses.astuple(a.left)[0] == Fraction(1, 2)
+
+    def test_pickle_drops_kept_hash(self):
+        a = parse_pformula(self.TEXT)
+        hash(a)
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a
+        assert "_hash" not in vars(b)
+        assert hash(b) == hash(a)
