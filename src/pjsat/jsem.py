@@ -17,8 +17,9 @@ negated assertion reads only the positives on the terms it visits, so
 each verdict is decided once per sign pattern of those assertions and
 reused across every atom of the formula.  The same filter names the
 assertions the constant specification derives on its own (CS-forced):
-no J-satisfiable atom negates one, so the sign-tuple walks of
-``jformula_sat`` and ``solver.solve_sat`` hold them true.
+no J-satisfiable atom negates one, so ``jformula_sat`` and
+``solver.solve_sat`` pass them to ``syntax.assignments`` as positions it
+holds true.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from .syntax import (
     Sum,
     basis_of,
     DEFAULT_ATOM_CAP,
-    sign_tuples,
+    assignments,
     truth_test,
+    within_cap,
 )
 
 
@@ -182,10 +184,10 @@ def eval_under_atom(phi, atom: Atom) -> bool:
 
 
 def jformula_sat(alpha, cs: ConstantSpec, cap: int = DEFAULT_ATOM_CAP) -> bool:
-    """Satisfiability of a justification formula, by atom enumeration over
-    the sign tuples that hold the CS-forced assertions true."""
-    basis = basis_of(alpha)
+    """Satisfiability of a justification formula: is some sign tuple that
+    satisfies alpha and holds the CS-forced assertions true J-satisfiable?
+    The walk drops every prefix of signs that already falsifies alpha."""
+    basis = within_cap(basis_of(alpha), cap)
     holds = truth_test(alpha, {b: i for i, b in enumerate(basis)})
     jsat = jsat_test(basis, cs)
-    fixed = jsat.cs_forced()
-    return any(holds(s) and jsat(s) for s in sign_tuples(basis, cap, fixed))
+    return any(map(jsat, assignments(holds, len(basis), jsat.cs_forced())))

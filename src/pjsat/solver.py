@@ -1,18 +1,19 @@
 """The decision procedure for probability formulas over justification logic.
 
-Satisfiability goes through three stages: walk the sign tuples over the
-formula's basis, holding true the assertions the constant specification
-derives on its own, and keep, for each signature (the truth values of
-the probability literal bodies), the first one a basic evaluation can
-satisfy as an atom; then walk the truth assignments to the formula's
-probability literals under which the formula holds (``syntax.assignments``,
-a depth-first walk that drops every prefix already falsifying the
-formula), and translate each one into an exact linear system over those
-sign tuples' weights, whose 0/1 coefficients are read off the
-signatures; read the model off the first feasible system's solution.  No
-assignment past the first feasible one is built.  The simplex returns a
-basic solution, so the model has at most one world per row and weights
-of certified size; ``certify_model`` checks both on every model.
+Satisfiability goes through three stages, both walks being
+``syntax.assignments``: walk the sign tuples over the formula's basis,
+holding true the assertions the constant specification derives on its
+own, and keep, for each signature (the truth values of the probability
+literal bodies), the first one a basic evaluation can satisfy as an
+atom; then walk the truth assignments to the formula's probability
+literals under which the formula holds, dropping every prefix that
+already falsifies it, and translate each one into an exact linear
+system over those sign tuples' weights, whose 0/1 coefficients are read
+off the signatures; read the model off the first feasible system's
+solution.  No assignment past the first feasible one is built.  The
+simplex returns a basic solution, so the model has at most one world per
+row and weights of certified size; ``certify_model`` checks both on
+every model.
 
 Both levels of Boolean structure are evaluated by one compiled test,
 ``syntax.truth_test``: the formula over the truth values of its
@@ -46,11 +47,11 @@ from .syntax import (
     parse_jformula,
     rat_str,
     preorder,
-    sign_tuples,
     size_p,
     weight_size_bound,
     size_rat,
     truth_test,
+    within_cap,
 )
 
 
@@ -159,19 +160,20 @@ def solve_sat(
     basic solution is the model, one world per positive weight (the only
     sign tuples made into Atoms), and is certified before being returned.
     """
-    basis = basis_of(f)
+    basis = within_cap(basis_of(f), cap)
     index = {b: i for i, b in enumerate(basis)}
     occs = _p_occurrences(f)
     bodies = dict.fromkeys(occ.body for occ in occs)
     tests = [truth_test(body, index) for body in bodies]
     jsat = jsat_test(basis, cs)
     reps = {}
-    for signs in sign_tuples(basis, cap, jsat.cs_forced()):
+    for signs in assignments(lambda values: True, len(basis), jsat.cs_forced()):
         key = tuple([test(signs) for test in tests])
         if key not in reps and jsat(signs):
             reps[key] = signs
     columns = {body: tuple(map(int, col)) for body, col in zip(bodies, zip(*reps))}
-    for bits in assignments(f, {occ: i for i, occ in enumerate(occs)}, len(occs)):
+    holds = truth_test(f, {occ: i for i, occ in enumerate(occs)})
+    for bits in assignments(holds, len(occs)):
         system = build_system(occs, bits, columns)
         if on_system is not None:
             on_system(system)

@@ -11,6 +11,9 @@ Three layers of syntax:
 All nodes are frozen dataclasses, so values are hashable and shareable;
 each composite node computes its hash once and keeps it (``_node``).
 Thresholds are stored as reduced ``fractions.Fraction`` in [0, 1].
+
+Boolean structure is compiled once (``truth_test``); every enumeration of
+truth values, P-level or sign tuple, is the one walk ``assignments``.
 """
 
 from __future__ import annotations
@@ -186,29 +189,24 @@ def term_str(t: Term, prec: int = 0) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def jformula_str(f: JFormula, prec: int = 0) -> str:
+def jformula_str(f, prec: int = 0) -> str:
+    """Print a formula of either language; ``pformula_str`` is this function."""
     # precedence: 0 = conjunction, 1 = factor
     if isinstance(f, Prop):
         return f"p{f.index}"
-    if isinstance(f, JNot):
+    if isinstance(f, (JNot, PNot)):
         return "~" + jformula_str(f.body, 1)
     if isinstance(f, Assert):
         return f"{term_str(f.term)}:{jformula_str(f.body, 1)}"
-    if isinstance(f, JAnd):
-        s = f"{jformula_str(f.left, 0)} & {jformula_str(f.right, 1)}"
-        return f"({s})" if prec > 0 else s
-    raise TypeError(f"not a justification formula: {f!r}")
-
-
-def pformula_str(f: PFormula, prec: int = 0) -> str:
     if isinstance(f, AtLeast):
         return f"P>={rat_str(f.threshold)} {jformula_str(f.body, 1)}"
-    if isinstance(f, PNot):
-        return "~" + pformula_str(f.body, 1)
-    if isinstance(f, PAnd):
-        s = f"{pformula_str(f.left, 0)} & {pformula_str(f.right, 1)}"
+    if isinstance(f, (JAnd, PAnd)):
+        s = f"{jformula_str(f.left, 0)} & {jformula_str(f.right, 1)}"
         return f"({s})" if prec > 0 else s
-    raise TypeError(f"not a probability formula: {f!r}")
+    raise TypeError(f"not a formula: {f!r}")
+
+
+pformula_str = jformula_str
 
 
 # --- lexer / parser ---
@@ -454,44 +452,41 @@ def truth_test(f, index):
     return operator.itemgetter(index[f])
 
 
-def assignments(f, index, n):
-    """The truth assignments of length n under which f holds (read by
-    ``truth_test(f, index)``), in ``itertools.product`` order over
-    ``(True, False)``: the filtered product, without testing all 2^n.
+def assignments(holds, n, fixed=()):
+    """The tuples of n truth values under which the predicate ``holds``
+    (three-valued, as compiled by ``truth_test``) is True and that are
+    True at every position in ``fixed``, in ``itertools.product`` order
+    over ``(True, False)``: the filtered product, without testing all 2^n.
 
     A depth-first walk that fixes positions left to right, True before
-    False.  Below an undecided prefix it first tests the one completion
-    that is True everywhere else, the first in product order; then, from
-    the last position back, each prefix that turns one more of those
-    Trues to False is tested three-valued: dropped with all its
-    completions when f is False under it, yielded with every completion
-    untested when f is True, and walked the same way when undecided."""
-    holds = truth_test(f, index)
-    values = [True] * n
-    if holds(values):
-        yield tuple(values)
-    outer = []  # (k, j) of each enclosing undecided prefix and its loop
-    k, j = 0, n  # values[:k] is the undecided prefix; j the last flip
+    False, and tests each prefix with the rest read as None: a prefix
+    under which ``holds`` is False is dropped with all its completions,
+    an undecided one is extended, and one under which it is True yields
+    every completion untested.  Positions in ``fixed``, read on the first
+    ``next()``, are only ever True."""
+    fixed = frozenset(fixed)
+    values = [None] * n
+    trues = []  # the positions not in fixed that are True, innermost last
+    k = 0  # values[:k] is the prefix
     while True:
-        j -= 1
-        if j < k:
-            if not outer:
-                return
-            k, j = outer.pop()
-            continue
-        values[j] = False
-        values[j + 1:] = [None] * (n - 1 - j)
         verdict = holds(values)
         if verdict is None:
-            outer.append((k, j))
-            k, j = j + 1, n
-            values[k:] = [True] * (n - k)
-            if holds(values):
-                yield tuple(values)
-        elif verdict:
-            prefix = tuple(values[: j + 1])
-            for rest in itertools.product((True, False), repeat=n - 1 - j):
-                yield prefix + rest
+            values[k] = True
+            if k not in fixed:
+                trues.append(k)
+            k += 1
+            continue
+        if verdict:
+            yield from itertools.product(
+                *[(v,) for v in values[:k]],
+                *[(True,) if i in fixed else (True, False) for i in range(k, n)],
+            )
+        if not trues:
+            return
+        k = trues.pop()
+        values[k] = False
+        values[k + 1:] = [None] * (n - 1 - k)
+        k += 1
 
 
 def basis_of(f):
@@ -540,28 +535,23 @@ class Atom:
 DEFAULT_ATOM_CAP = 20
 
 
-def sign_tuples(basis, cap: int = DEFAULT_ATOM_CAP, fixed=()):
-    """An iterator over the sign tuples whose positions in ``fixed`` are
-    True, each exactly once, in ``itertools.product`` order over
-    ``(True, False)`` (all 2^|basis| tuples when nothing is fixed).  An
-    empty basis or one past the cap is refused when this is called, before
-    any tuple is made and before ``fixed``, which may be lazy, is read."""
+def within_cap(basis, cap: int = DEFAULT_ATOM_CAP):
+    """The basis, once it is known to be nonempty and its 2^|basis| sign
+    tuples within the cap; called before anything is enumerated over it."""
     if len(basis) == 0:
         raise ValueError("formula has no basic subformulas")
     if len(basis) > cap:
         raise EnumerationLimitError(
             f"basis has {len(basis)} entries, enumeration cap is {cap}"
         )
-    fixed = frozenset(fixed)
-    return itertools.product(
-        *[(True,) if i in fixed else (True, False) for i in range(len(basis))]
-    )
+    return basis
 
 
 def atoms_of(f, cap: int = DEFAULT_ATOM_CAP):
-    """All 2^|basis| atoms of f, one per ``sign_tuples`` entry, in its order."""
-    basis = basis_of(f)
-    return (Atom(basis, signs) for signs in sign_tuples(basis, cap))
+    """All 2^|basis| atoms of f, in ``itertools.product`` order of their
+    signs; a basis past the cap is refused when this is called."""
+    basis = within_cap(basis_of(f), cap)
+    return (Atom(basis, s) for s in assignments(lambda values: True, len(basis)))
 
 
 def size_p(f: PFormula) -> int:

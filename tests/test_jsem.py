@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from pjsat import jsem
 from pjsat.cspec import ConstantSpec, FMeta, TMeta, builtin_schemes, default_cs
 from pjsat.jsem import (
     BasisMismatchError,
@@ -20,6 +21,7 @@ from pjsat.syntax import (
     Atom,
     Bang,
     Const,
+    EnumerationLimitError,
     JAnd,
     JNot,
     Prop,
@@ -408,6 +410,23 @@ class TestJformulaSat:
             assert jformula_sat(JAnd(phi, phi), cs) == expected
             assert jformula_sat(JNot(JNot(phi)), cs) == expected
 
+    def test_wide_contradiction_drops_falsified_prefixes(self):
+        # 2^30 sign tuples, every one falsifying phi: the walk drops both
+        # values of p1 after a test each
+        phi = parse_jformula(" & ".join(f"p{i}" for i in range(1, 31)) + " & ~p1")
+        assert jformula_sat(phi, CS0, cap=30) is False
+
+    def test_over_cap_refused_before_any_derivation(self, monkeypatch):
+        def no_derivation(*args, **kwargs):
+            raise AssertionError("derivation searched before the cap check")
+
+        monkeypatch.setattr(jsem, "derives", no_derivation)
+        phi = parse_jformula("c_taut1:(p1 -> p1) & t:p2 & p3")
+        with pytest.raises(EnumerationLimitError, match="enumeration cap is 4"):
+            jformula_sat(phi, default_cs(), cap=4)
+        f = parse_pformula("P>=1/2 (c_taut1:(p1 -> p1) & t:p2 & p3)")
+        with pytest.raises(EnumerationLimitError, match="enumeration cap is 4"):
+            solve_sat(f, default_cs(), cap=4)
 
     def test_matches_unfixed_enumeration(self):
         # every atom, none held fixed, judged by truth tables and the

@@ -32,12 +32,12 @@ from pjsat.syntax import (
     parse_pformula,
     parse_term,
     pformula_str,
-    sign_tuples,
     size_p,
     size_rat,
     subf,
     term_str,
     truth_test,
+    within_cap,
 )
 from pjsat.solver import _p_occurrences
 
@@ -207,6 +207,10 @@ class TestSubfAndBasis:
         assert basis_of(f) == (Prop(1),)
 
 
+def _always(values):
+    return True
+
+
 class TestAtoms:
     def test_two_atoms_over_one_prop(self):
         atoms = list(atoms_of(parse_pformula("P>=1/2 p1")))
@@ -237,7 +241,7 @@ class TestAtoms:
             basis = basis_of(f)
             if len(basis) > 8:
                 continue
-            tuples = list(sign_tuples(basis))
+            tuples = list(assignments(_always, len(basis)))
             assert tuples == list(
                 itertools.product((True, False), repeat=len(basis))
             )
@@ -247,34 +251,37 @@ class TestAtoms:
         # no iteration: the checks must not wait for the first tuple
         basis = basis_of(parse_jformula("p1 & p2 & p3"))
         with pytest.raises(EnumerationLimitError):
-            sign_tuples(basis, cap=2)
+            within_cap(basis, cap=2)
         with pytest.raises(ValueError):
-            sign_tuples((), cap=2)
+            within_cap((), cap=2)
+        assert within_cap(basis, cap=3) == basis
         with pytest.raises(EnumerationLimitError):
             atoms_of(parse_jformula("p1 & p2 & p3"), cap=2)
 
     def test_sign_tuples_fixed_positions(self):
         # the full product order, filtered to the tuples true at `fixed`
-        for n in range(1, 7):
-            basis = basis_of(parse_jformula(" & ".join(f"p{i}" for i in range(1, n + 1))))
+        for n in range(1, 8):
             full = list(itertools.product((True, False), repeat=n))
             for r in range(n + 1):
                 for fixed in itertools.combinations(range(n), r):
                     expected = [t for t in full if all(t[i] for i in fixed)]
-                    assert list(sign_tuples(basis, fixed=fixed)) == expected
-                    assert list(sign_tuples(basis, n, iter(fixed))) == expected
+                    assert list(assignments(_always, n, fixed)) == expected
+                    assert list(assignments(_always, n, iter(fixed))) == expected
 
     def test_sign_tuples_fixed_refused_over_cap(self):
+        # the fixed positions are read on the first next(), so a caller
+        # that checks the cap first refuses before reading them
         basis = basis_of(parse_jformula("p1 & p2 & p3"))
 
         def unread():
             raise AssertionError("fixed positions read before the cap check")
             yield
 
+        walk = assignments(_always, len(basis), unread())
         with pytest.raises(EnumerationLimitError):
-            sign_tuples(basis, cap=2, fixed=(0, 1, 2))
-        with pytest.raises(EnumerationLimitError):
-            sign_tuples(basis, cap=2, fixed=unread())
+            within_cap(basis, cap=2)
+        with pytest.raises(AssertionError):
+            next(walk)
 
     def test_atom_string_round_trips_by_signs(self):
         f = parse_jformula("p1 & t:p2")
@@ -389,42 +396,64 @@ class TestTruthTest:
         ]
 
 
+def _walk(f, fixed=()):
+    """assignments over f's P-level, with f's occurrences."""
+    occs = _p_occurrences(f)
+    holds = truth_test(f, {occ: i for i, occ in enumerate(occs)})
+    return list(assignments(holds, len(occs), fixed))
+
+
 class TestAssignments:
     def test_matches_filtered_product(self):
-        rng = random.Random(101)
+        rng, fixed_rng = random.Random(101), random.Random(103)
         for _ in range(600):
             f = rand_pformula(rng, depth=rng.randrange(1, 5))
             occs = _p_occurrences(f)
             n = len(occs)
+            fixed = [i for i in range(n) if fixed_rng.random() < 0.25]
             expected = [
                 bits
                 for bits in itertools.product((True, False), repeat=n)
                 if _dict_eval(f, dict(zip(occs, bits)))
             ]
-            index = {occ: i for i, occ in enumerate(occs)}
-            assert list(assignments(f, index, n)) == expected, f
+            assert _walk(f) == expected, f
+            expected = [bits for bits in expected if all(bits[i] for i in fixed)]
+            assert _walk(f, fixed) == expected, (f, fixed)
 
     def test_wide_conjunction_yields_its_one_assignment(self):
         # 2^80 assignments, one of which satisfies f
         lits = [f"P>={j}/81 p{j % 3}" for j in range(1, 80)] + ["~P>=1/2 p5"]
         f = parse_pformula(" & ".join(lits))
-        occs = _p_occurrences(f)
-        index = {occ: i for i, occ in enumerate(occs)}
-        assert list(assignments(f, index, 80)) == [(True,) * 79 + (False,)]
+        assert _walk(f) == [(True,) * 79 + (False,)]
 
     def test_decided_prefix_yields_every_completion(self):
         # the first literal true decides the disjunction; all completions
         # follow in product order, then those with it false
         f = parse_pformula("~(~P>=1/2 p1 & ~(P>=1/2 p2 & P>=1/2 p3))")
-        occs = _p_occurrences(f)
-        index = {occ: i for i, occ in enumerate(occs)}
-        assert list(assignments(f, index, 3)) == [
+        assert _walk(f) == [
             (True, True, True),
             (True, True, False),
             (True, False, True),
             (True, False, False),
             (False, True, True),
         ]
+
+    def test_negated_conjunction_tests_linearly_many_prefixes(self):
+        # each prefix with one more True is False at once, so the walk
+        # tests the root and two prefixes per position: 2n + 1 calls
+        n = 200
+        f = parse_pformula(" & ".join(f"~P>={j}/{n + 1} p1" for j in range(1, n + 1)))
+        occs = _p_occurrences(f)
+        test = truth_test(f, {occ: i for i, occ in enumerate(occs)})
+        calls = 0
+
+        def holds(values):
+            nonlocal calls
+            calls += 1
+            return test(values)
+
+        assert list(assignments(holds, n)) == [(False,) * n]
+        assert calls <= 2 * n + 1
 
 
 class TestNodeHash:
