@@ -2,15 +2,16 @@
 
 Systems are rows of rational coefficients with relations {=, <=, >=, <}
 over implicitly non-negative variables.  ``feasible`` is the one simplex
-routine: exact, Bland's rule throughout, its objective row kept in the
-tableau.  Phase 1 always runs; phase 2, which maximizes a slack epsilon,
-runs only when some row is strict.  It returns a basic solution, which
-the solver takes as its model.  Its tableau is fraction-free, on Python
-ints, after Edmonds (1967) and Bareiss (1968).  ``shrink_solution`` turns
-any non-negative solution into a basic one with few positive entries and
-certified entry sizes: it pins every row at the solution's value,
-restricts the system to the solution's support and calls ``feasible``
-there.  ``_pivot`` is the only elimination step in the module.
+routine: exact, Dantzig pricing with a Bland pivot after each degenerate
+one, its objective row kept in the tableau.  Phase 1 always runs; phase
+2, which maximizes a slack epsilon, runs only when some row is strict.
+It returns a basic solution, which the solver takes as its model.  Its
+tableau is fraction-free, on Python ints, after Edmonds (1967) and
+Bareiss (1968).  ``shrink_solution`` turns any non-negative solution into
+a basic one with few positive entries and certified entry sizes: it pins
+every row at the solution's value, restricts the system to the
+solution's support and calls ``feasible`` there.  ``_pivot`` is the only
+elimination step in the module.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def system_str(system: LinearSystem) -> str:
     return "\n".join(row_str(row) for row in system.rows)
 
 
-def _holds(lhs: Fraction, rel: Rel, rhs: Fraction) -> bool:
+def _holds(lhs: int, rel: Rel, rhs: int) -> bool:
     if rel is Rel.EQ:
         return lhs == rhs
     if rel is Rel.LE:
@@ -77,15 +78,27 @@ def _holds(lhs: Fraction, rel: Rel, rhs: Fraction) -> bool:
 
 
 def satisfies(system: LinearSystem, values) -> bool:
-    """Exact substitution check; strict rows must hold strictly, and all
-    entries must be non-negative."""
-    if any(v < 0 for v in values):
+    """Exact substitution check: values has one non-negative entry per
+    variable, and every row holds, strict rows strictly."""
+    if len(values) != system.var_count:
         return False
-    for row in system.rows:
-        lhs = sum(c * v for c, v in zip(row.coeffs, values))
-        if not _holds(lhs, row.rel, row.rhs):
-            return False
-    return True
+    rows = [(*_integer_row(row.coeffs, row.rhs)[1:], row.rel) for row in system.rows]
+    return _satisfied(rows, [(j, v) for j, v in enumerate(values) if v])
+
+
+def _satisfied(rows, support):
+    """Whether the values whose nonzero entries are the (column, value)
+    pairs in support are non-negative and satisfy the integer rows
+    (coeffs, rhs, rel).  The values are put over their common denominator
+    d, and each row's support entries are summed against d * rhs."""
+    if any(v < 0 for _, v in support):
+        return False
+    d = math.lcm(*(v.denominator for _, v in support))
+    support = [(j, v.numerator * (d // v.denominator)) for j, v in support]
+    return all(
+        _holds(sum(coeffs[j] * v for j, v in support), rel, d * rhs)
+        for coeffs, rhs, rel in rows
+    )
 
 
 class UnboundedError(RuntimeError):
@@ -112,16 +125,25 @@ def _pivot(tableau, basis, row, col):
     """Fraction-free Gauss-Jordan step on tableau[row][col]: the one
     elimination in linrat.  The pivot row is negated if its pivot entry is
     negative, making it p > 0; every other row with an entry f in column
-    col becomes p*line - f*prow, divided by the gcd of its entries."""
+    col becomes p*line - f*prow, divided by the gcd of its entries.  Both
+    terms are divided by gcd(p, f) first, so when p divides f the row is
+    not rescaled, and f*prow is subtracted on prow's nonzero columns only."""
     prow = tableau[row]
     p = prow[col]
     if p < 0:
         p = -p
         prow = tableau[row] = [-v for v in prow]
+    nonzero = [(k, v) for k, v in enumerate(prow) if v]
     for i, line in enumerate(tableau):
         f = line[col]
         if f and i != row:
-            tableau[i] = _reduced([p * a - f * b for a, b in zip(line, prow)])
+            g = math.gcd(p, f)
+            if g != p:
+                line = list(map((p // g).__mul__, line))
+            f //= g
+            for k, v in nonzero:
+                line[k] -= f * v
+            tableau[i] = _reduced(line)
     basis[row] = col
 
 
@@ -136,13 +158,25 @@ def _price_out(tableau, basis, cost):
 
 
 def _run_simplex(tableau, basis):
-    """Minimize the objective in the tableau's last row in place, Bland's
-    rule throughout.  Basic columns have reduced cost 0 and never enter.
-    The ratio test compares rhs_i/a_i against rhs_l/a_l by cross products,
-    so the rows' scales cancel."""
+    """Minimize the objective in the tableau's last row in place.  The
+    entering column has the most negative reduced cost, lowest index on
+    ties (Dantzig), except right after a degenerate pivot, one whose
+    leaving row had right-hand side 0: then it is the lowest-index column
+    with negative reduced cost (Bland).  Basic columns have reduced cost 0
+    and never enter.  The ratio test compares rhs_i/a_i against rhs_l/a_l
+    by cross products, so the rows' scales cancel; ties go to the lowest
+    basic column.  A nondegenerate pivot lowers the objective, and in a
+    run of degenerate pivots every pivot after the first is a Bland pivot,
+    which cannot cycle (Bland, Math. Oper. Res. 1977)."""
     m = len(basis)
+    bland = False
     while True:
-        enter = next((j for j, d in enumerate(tableau[-1][:-1]) if d < 0), -1)
+        costs = tableau[-1][:-1]
+        if bland:
+            enter = next((j for j, d in enumerate(costs) if d < 0), -1)
+        else:
+            low = min(costs, default=0)
+            enter = costs.index(low) if low < 0 else -1
         if enter < 0:
             return
         leave = -1
@@ -157,6 +191,7 @@ def _run_simplex(tableau, basis):
                     leave = i
         if leave < 0:
             raise UnboundedError("objective unbounded")
+        bland = tableau[leave][-1] == 0
         _pivot(tableau, basis, leave, enter)
 
 
@@ -182,7 +217,8 @@ def feasible(system: LinearSystem):
     that scale.  Every read is invariant under the multiples: signs of
     reduced costs and of the objective, a cross-multiplied ratio test,
     and the basic values rhs_i / line_i[b].  ``Fraction`` appears only at
-    the edges, where input rows are read and the solution is returned.
+    the edges, where input rows are read and the solution is returned;
+    the solution is checked against the input rows as scaled to ints.
     """
     n = system.var_count
     eps = int(any(row.rel is Rel.LT for row in system.rows))
@@ -191,16 +227,16 @@ def feasible(system: LinearSystem):
     art = n + eps + sum(row.rel is not Rel.EQ for row in rows)
     tableau = []
     basis = []
+    checks = []  # the integer rows, (coeffs, rhs, rel), for the solution check
     slack = n + eps
     for i, row in enumerate(rows):
         # Every row is stored with a non-negative right-hand side.  A row
         # a >= b reads -a + s = -b before that, so at b = 0 it is stored
         # as -a + s = 0.
-        scale, line, rhs = _integer_row(row.coeffs, row.rhs)
+        scale, coeffs, rhs = _integer_row(row.coeffs, row.rhs)
+        checks.append((coeffs, rhs, row.rel))
         unit = -scale if rhs < 0 or (rhs == 0 and row.rel is Rel.GE) else scale
-        if unit < 0:
-            line = [-c for c in line]
-        line += [0] * (art - n + m)
+        line = (coeffs if unit > 0 else [-c for c in coeffs]) + [0] * (art - n + m)
         line.append(abs(rhs))
         if row.rel is Rel.LT:
             line[n] = unit
@@ -241,10 +277,10 @@ def feasible(system: LinearSystem):
             x[b] = Fraction(tableau[i][-1], tableau[i][b])
     if eps and x[n] <= 0:
         return None
-    sol = Solution(tuple(x[:n]))
-    if not satisfies(system, sol.values):
+    # checks also holds the eps row 0 < 1, which every solution satisfies
+    if not _satisfied(checks, [(j, v) for j, v in enumerate(x[:n]) if v]):
         raise AssertionError("simplex produced an invalid solution")
-    return sol
+    return Solution(tuple(x[:n]))
 
 
 def integerize(system: LinearSystem):

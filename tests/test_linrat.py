@@ -1,9 +1,10 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from pjsat import linrat
+from pjsat import default_cs, linrat, parse_pformula, solve_sat
 from pjsat.linrat import (
     LinearSystem,
     Rel,
@@ -29,6 +30,20 @@ def sys_of(rows, var_count):
     """A system from (coeffs, rel, rhs) rows of numbers Fraction accepts."""
     rows = tuple(Row(tuple(map(Fraction, c)), rel, Fraction(rhs)) for c, rel, rhs in rows)
     return LinearSystem(rows, var_count)
+
+
+def ref_satisfies(system: LinearSystem, values) -> bool:
+    """satisfies on Fraction arithmetic, row by row: the reference the
+    integer check must match.  It reads values by zip, so it does not see
+    a values vector of the wrong length."""
+    if any(v < 0 for v in values):
+        return False
+    holds = {Rel.EQ: operator.eq, Rel.LE: operator.le, Rel.GE: operator.ge, Rel.LT: operator.lt}
+    for row in system.rows:
+        lhs = sum(c * v for c, v in zip(row.coeffs, values))
+        if not holds[row.rel](lhs, row.rhs):
+            return False
+    return True
 
 
 # The simplex on Fraction entries: the reference whose results and pivot
@@ -59,13 +74,22 @@ def _ref_price_out(tableau, basis, cost):
 
 
 def _ref_run_simplex(tableau, basis):
-    """Minimize the objective in the tableau's last row in place, Bland's
-    rule throughout.  Basic columns have reduced cost 0 and never enter."""
+    """Minimize the objective in the tableau's last row in place.  The
+    entering column has the most negative reduced cost, lowest index on
+    ties, except right after a degenerate pivot (leaving row with
+    right-hand side 0), when it is the lowest-index column with negative
+    reduced cost.  Basic columns have reduced cost 0 and never enter."""
     m = len(basis)
+    bland = False
     while True:
-        enter = next((j for j, d in enumerate(tableau[-1][:-1]) if d < 0), -1)
-        if enter < 0:
+        costs = tableau[-1][:-1]
+        negative = [j for j, d in enumerate(costs) if d < 0]
+        if not negative:
             return
+        if bland:
+            enter = negative[0]
+        else:
+            enter = min(negative, key=lambda j: (costs[j], j))
         leave = -1
         best = None
         for i in range(m):
@@ -80,6 +104,7 @@ def _ref_run_simplex(tableau, basis):
                     leave = i
         if leave < 0:
             raise UnboundedError("objective unbounded")
+        bland = best == 0
         _ref_pivot(tableau, basis, leave, enter)
 
 
@@ -270,7 +295,8 @@ class TestFeasible:
 
     def test_matches_fraction_reference(self, monkeypatch):
         # Same results and the same pivots, in order, as the Fraction
-        # simplex: the integer tableau takes Bland's path unchanged.
+        # simplex: the integer tableau takes the reference's path, Dantzig
+        # pricing with a Bland pivot after each degenerate one.
         path, ref_path = [], []
 
         def recording(pivot, out):
@@ -345,6 +371,105 @@ class TestFeasible:
         sol = feasible(s)
         assert (sol is not None) == fm_feasible(s)
         assert sol is None or satisfies(s, sol.values)
+
+
+# O(3) of bench/workloads.py: 27 LPs of 10 rows over 64 signature columns.
+O3 = (
+    "~(~P>=1/2 p10 & ~P>=1/2 p11) & ~(~P>=1/2 p12 & ~P>=1/2 p13)"
+    " & ~(~P>=1/2 p14 & ~P>=1/2 p15) & P>=1 ~p10 & P>=1 ~p12 & P>=1 ~p14"
+)
+
+
+class TestPricing:
+    def test_beale_example_does_not_cycle(self, monkeypatch):
+        # Beale (1955): minimize -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 subject to
+        #   1/4 x4 -  8 x5 -     x6 + 9 x7 + x1 = 0
+        #   1/2 x4 - 12 x5 - 1/2 x6 + 3 x7 + x2 = 0
+        #                        x6        + x3 = 1
+        # from the basis x1, x2, x3, with the rows and the cost scaled to
+        # ints.  Dantzig pricing alone cycles here, with period 6.
+        pivots = []
+
+        def limited(tableau, basis, row, col):
+            pivots.append((row, col))
+            if len(pivots) > 20:
+                raise AssertionError(f"no optimum after 20 pivots: {pivots}")
+            pivot(tableau, basis, row, col)
+
+        pivot = linrat._pivot
+        monkeypatch.setattr(linrat, "_pivot", limited)
+        tableau = [
+            [4, 0, 0, 1, -32, -4, 36, 0],
+            [0, 2, 0, 1, -24, -1, 6, 0],
+            [0, 0, 1, 0, 0, 1, 0, 1],
+        ]
+        basis = [0, 1, 2]
+        cost = (0, 0, 0, F(-3, 4), 20, F(-1, 2), 6)
+        linrat._price_out(tableau, basis, [int(4 * c) for c in cost])
+        linrat._run_simplex(tableau, basis)
+        x = [F(0)] * 7
+        for i, b in enumerate(basis):
+            x[b] = F(tableau[i][-1], tableau[i][b])
+        assert sum(c * v for c, v in zip(cost, x)) == F(-5, 4)
+        assert (x[3], x[5], x[0]) == (1, 1, F(3, 4))
+
+    def test_o3_pivot_count(self, monkeypatch):
+        # Bland's rule throughout took 1739 pivots on these LPs.
+        count = 0
+
+        def counting(tableau, basis, row, col):
+            nonlocal count
+            count += 1
+            pivot(tableau, basis, row, col)
+
+        pivot = linrat._pivot
+        monkeypatch.setattr(linrat, "_pivot", counting)
+        assert solve_sat(parse_pformula(O3), default_cs()) is not None
+        assert count <= 1000
+
+
+class TestSatisfies:
+    def test_wrong_length_is_not_a_solution(self):
+        s = sys_of([([1, 1], Rel.EQ, 1)], 2)
+        assert not satisfies(s, (F(1),))
+        assert not satisfies(s, (F(1), F(0), F(0)))
+        assert satisfies(s, (F(1), F(0)))
+        with pytest.raises(ValueError):
+            shrink_solution(s, Solution((F(1),)))
+
+    def test_matches_fraction_reference(self):
+        # on a row's boundary: x1 + 2 x2 at (1/3, 1/3) is exactly 1
+        point = (F(1, 3), F(1, 3))
+        for rel, holds in ((Rel.EQ, True), (Rel.LE, True), (Rel.GE, True), (Rel.LT, False)):
+            s = sys_of([([1, 2], rel, 1)], 2)
+            assert satisfies(s, point) is ref_satisfies(s, point) is holds
+        dens = (1, 2, 3, 7, 10**9 + 7)
+        rng = random.Random(73)
+        seen = set()
+        for _ in range(4000):
+            n = rng.randint(1, 4)
+            values = tuple(F(rng.randint(-1, 4), rng.choice(dens)) for _ in range(n))
+            as_int = rng.random() < 0.3
+            rows = []
+            for _ in range(rng.randint(1, 4)):
+                if as_int:
+                    coeffs = tuple(rng.randint(-3, 3) for _ in range(n))
+                else:
+                    coeffs = tuple(F(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n))
+                rel = rng.choice((Rel.EQ, Rel.LE, Rel.GE, Rel.LT))
+                if rng.random() < 0.5:  # on the row's boundary
+                    rhs = sum(c * v for c, v in zip(coeffs, values))
+                else:
+                    rhs = F(rng.randint(-4, 4), rng.choice(dens))
+                rows.append(Row(coeffs, rel, rhs))
+            s = LinearSystem(tuple(rows), n)
+            if rng.random() < 0.1:
+                values = values[:-1] if rng.random() < 0.5 else values + (F(0),)
+            got = satisfies(s, values)
+            assert got == (len(values) == n and ref_satisfies(s, values))
+            seen.add((got, len(values) == n, any(v < 0 for v in values)))
+        # every combination but a True verdict with a negative entry
+        assert len(seen) == 5
 
 
 class TestReduceSupport:
