@@ -136,8 +136,11 @@ def run(args) -> int:
     if args.command == "atoms":
         try:
             f = parse_pformula(text)
-        except ParseError:
-            f = parse_jformula(text)
+        except ParseError as p_err:
+            try:
+                f = parse_jformula(text)
+            except ParseError as j_err:  # report the parse that got further
+                raise p_err if p_err.pos > j_err.pos else j_err
         jsat = jsat_test(basis_of(f), cs)
         for i, atom in enumerate(atoms_of(f, cap=args.cap), 1):
             verdict = "jsat" if jsat(atom.signs) else "junsat"

@@ -124,32 +124,29 @@ def jsat_test(basis, cs: ConstantSpec):
     for j, b in asserts:
         visited = _visited_terms(b.term)
         checks.append((j, b, tuple(i for i, c in asserts if c.term in visited)))
-    forced = {}
+    memo = {}
+
+    def forced(j, b, reads, read_signs):
+        """Whether cs derives b from the positives among j's reads."""
+        key = (j, read_signs)
+        verdict = memo.get(key)
+        if verdict is None:
+            positives = tuple(
+                (basis[i].term, basis[i].body) for i, s in zip(reads, read_signs) if s
+            )
+            derivation = next(derives(positives, cs, b.term, b.body), None)
+            verdict = memo[key] = derivation is not None
+        return verdict
 
     def test(signs):
         for j, b, reads in checks:
-            if signs[j]:
-                continue
-            key = (j, tuple([signs[i] for i in reads]))
-            verdict = forced.get(key)
-            if verdict is None:
-                positives = tuple(
-                    (basis[i].term, basis[i].body) for i in reads if signs[i]
-                )
-                verdict = next(derives(positives, cs, b.term, b.body), None) is not None
-                forced[key] = verdict
-            if verdict:
+            if not signs[j] and forced(j, b, reads, tuple([signs[i] for i in reads])):
                 return False
         return True
 
     def cs_forced():
         for j, b, reads in checks:
-            key = (j, (False,) * len(reads))
-            verdict = forced.get(key)
-            if verdict is None:
-                verdict = next(derives((), cs, b.term, b.body), None) is not None
-                forced[key] = verdict
-            if verdict:
+            if forced(j, b, reads, (False,) * len(reads)):
                 yield j
 
     test.cs_forced = cs_forced

@@ -4,8 +4,9 @@ Systems are rows of rational coefficients with relations {=, <=, >=, <}
 over implicitly non-negative variables.  ``feasible`` is the one simplex
 routine: exact, Dantzig pricing with a Bland pivot after each degenerate
 one, its objective row kept in the tableau.  Phase 1 always runs; phase
-2, which maximizes a slack epsilon, runs only when some row is strict.
-It returns a basic solution, which the solver takes as its model.  Its
+2, which maximizes a slack epsilon, runs only when some row is strict,
+and it continues on phase 1's tableau, artificial columns and all.  It
+returns a basic solution, which the solver takes as its model.  Its
 tableau is fraction-free, on Python ints, after Edmonds (1967) and
 Bareiss (1968).  ``shrink_solution`` turns any non-negative solution into
 a basic one with few positive entries and certified entry sizes: it pins
@@ -116,11 +117,6 @@ def _integer_row(coeffs, rhs):
     )
 
 
-def _reduced(line):
-    g = math.gcd(*line)
-    return [v // g for v in line] if g > 1 else line
-
-
 def _pivot(tableau, basis, row, col):
     """Fraction-free Gauss-Jordan step on tableau[row][col]: the one
     elimination in linrat.  The pivot row is negated if its pivot entry is
@@ -143,7 +139,8 @@ def _pivot(tableau, basis, row, col):
             f //= g
             for k, v in nonzero:
                 line[k] -= f * v
-            tableau[i] = _reduced(line)
+            g = math.gcd(*line)
+            tableau[i] = [v // g for v in line] if g > 1 else line
     basis[row] = col
 
 
@@ -157,21 +154,25 @@ def _price_out(tableau, basis, cost):
             _pivot(tableau, basis, i, b)
 
 
-def _run_simplex(tableau, basis):
+def _run_simplex(tableau, basis, enterable=None):
     """Minimize the objective in the tableau's last row in place.  The
     entering column has the most negative reduced cost, lowest index on
     ties (Dantzig), except right after a degenerate pivot, one whose
     leaving row had right-hand side 0: then it is the lowest-index column
     with negative reduced cost (Bland).  Basic columns have reduced cost 0
-    and never enter.  The ratio test compares rhs_i/a_i against rhs_l/a_l
-    by cross products, so the rows' scales cancel; ties go to the lowest
-    basic column.  A nondegenerate pivot lowers the objective, and in a
-    run of degenerate pivots every pivot after the first is a Bland pivot,
-    which cannot cycle (Bland, Math. Oper. Res. 1977)."""
+    and never enter, nor does column j when enterable[j] is False.  The
+    ratio test runs over the first len(basis) rows, compares rhs_i/a_i
+    against rhs_l/a_l by cross products, so the rows' scales cancel, and
+    sends ties to the lowest basic column.  A nondegenerate pivot lowers
+    the objective, and in a run of degenerate pivots every pivot after the
+    first is a Bland pivot, which cannot cycle (Bland, Math. Oper. Res.
+    1977)."""
     m = len(basis)
     bland = False
     while True:
         costs = tableau[-1][:-1]
+        if enterable is not None:
+            costs = [d if ok else 0 for d, ok in zip(costs, enterable)]
         if bland:
             enter = next((j for j, d in enumerate(costs) if d < 0), -1)
         else:
@@ -204,21 +205,33 @@ def feasible(system: LinearSystem):
     artificial per row.  A strict row ``a < b`` is written ``a + eps <= b``
     and ``eps <= 1`` is added as the strict row ``0 < 1``.  Phase 1
     minimizes the sum of artificials.  Without a strict row its basic
-    solution is the answer: phase 2's objective would be zero and every
-    drive-out pivot degenerate (right-hand side 0).  Otherwise the
-    artificials are driven out of the basis, rows left without a
-    non-artificial entry are dropped as redundant, and phase 2 maximizes
-    eps: the system is feasible iff the optimum has eps > 0.
+    solution is the answer.  Otherwise phase 2 maximizes eps, and the
+    system is feasible iff the optimum has eps > 0.
+
+    Phase 2 continues on phase 1's tableau (Dantzig, 1963): the eps
+    objective is priced out as a new last row, below the phase-1 row, and
+    only non-artificial columns whose phase-1 reduced cost d_j is 0 enter.
+    Artificials may stay basic, at 0.  The phase-1 row reads w = sum of
+    artificials = sum of d_j x_j over the nonbasic columns, w = 0, and
+    entering only d_j = 0 keeps it 0: an entering column's entries in the
+    artificials' rows sum to 0, so a negative one means a positive one at
+    right-hand side 0, and a degenerate pivot.  Pivots leave the phase-1
+    row, which is 0 in the entering column, and so the mask, unchanged.
+    A redundant row, 0 on every non-artificial column, is never a pivot
+    row.  Every feasible point has x_j = 0 where d_j > 0, so the
+    restricted phase 2 reaches the true maximum of eps, and its Bland
+    pivots cannot cycle.
 
     The tableau holds Python ints.  Each row, the objective row too, is a
     positive multiple of the rational row that Gauss-Jordan division
     would give, reduced by the gcd of its entries; an input row enters
     multiplied by the lcm of its denominators, so its artificial entry is
     that scale.  Every read is invariant under the multiples: signs of
-    reduced costs and of the objective, a cross-multiplied ratio test,
-    and the basic values rhs_i / line_i[b].  ``Fraction`` appears only at
-    the edges, where input rows are read and the solution is returned;
-    the solution is checked against the input rows as scaled to ints.
+    reduced costs and of the objective, the test d_j == 0, a
+    cross-multiplied ratio test, and the basic values rhs_i / line_i[b].
+    ``Fraction`` appears only at the edges, where input rows are read and
+    the solution is returned; the solution is checked against the input
+    rows as scaled to ints.
     """
     n = system.var_count
     eps = int(any(row.rel is Rel.LT for row in system.rows))
@@ -254,22 +267,10 @@ def feasible(system: LinearSystem):
         return None
 
     if eps:
-        # drive artificials out of the basis; drop redundant rows
-        i = 0
-        while i < len(basis):
-            if basis[i] >= art:
-                col = next((j for j in range(art) if tableau[i][j] != 0), None)
-                if col is None:
-                    del tableau[i]
-                    del basis[i]
-                    continue
-                _pivot(tableau, basis, i, col)
-            i += 1
-        # phase 2 maximizes eps, without the artificial columns or the
-        # phase-1 objective row
-        tableau = [_reduced(line[:art] + [line[-1]]) for line in tableau[:-1]]
-        _price_out(tableau, basis, [0] * n + [-1] + [0] * (art - n - 1))
-        _run_simplex(tableau, basis)
+        # phase 2 maximizes eps on the same tableau, below the phase-1 row
+        enterable = [d == 0 for d in tableau[-1][:art]] + [False] * m
+        _price_out(tableau, basis, [0] * n + [-1] + [0] * (art - n - 1 + m))
+        _run_simplex(tableau, basis, enterable)
 
     x = [Fraction(0)] * (n + eps)
     for i, b in enumerate(basis):

@@ -99,13 +99,12 @@ def check_model(model: SmallModel, f: PFormula) -> bool:
     return test([model.measure(occ.body) >= occ.threshold for occ in occs])
 
 
-def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec = None):
+def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec):
     """All small-model conditions, as a list of violation strings.
 
     Checks world count, weight positivity and additivity to 1, weight
     sizes against the certified bound, atom distinctness, per-world atom
-    satisfiability (when a constant specification is given), and that the
-    model satisfies the formula.
+    satisfiability, and that the model satisfies the formula.
     """
     problems = []
     if len(model.worlds) > size_p(f):
@@ -124,14 +123,13 @@ def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec = None):
     atoms = [a for a, _ in model.worlds]
     if len(set(atoms)) != len(atoms):
         problems.append("duplicate atom across worlds")
-    if cs is not None:
-        filters = {}  # one J-filter per distinct world basis
-        for i, (atom, _) in enumerate(model.worlds):
-            jsat = filters.get(atom.basis)
-            if jsat is None:
-                jsat = filters[atom.basis] = jsat_test(atom.basis, cs)
-            if not jsat(atom.signs):
-                problems.append(f"world {i + 1} atom is not J-satisfiable")
+    filters = {}  # one J-filter per distinct world basis
+    for i, (atom, _) in enumerate(model.worlds):
+        jsat = filters.get(atom.basis)
+        if jsat is None:
+            jsat = filters[atom.basis] = jsat_test(atom.basis, cs)
+        if not jsat(atom.signs):
+            problems.append(f"world {i + 1} atom is not J-satisfiable")
     if not check_model(model, f):
         problems.append("model does not satisfy the formula")
     return problems

@@ -107,6 +107,25 @@ class TestAtoms:
         # basis is {p1, t:p1}, hence four atoms
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize(
+        "text, parser",
+        [
+            ("P>=2 p1", "sat"),
+            ("P>=1/2 p1 & P>=1/0 p2", "sat"),
+            ("P>=1/2 (p1 &", "sat"),
+            ("t:p1 & (", "jsat"),
+        ],
+    )
+    def test_reports_the_parse_that_got_further(self, tmp_path, capsys, text, parser):
+        # atoms tries both parsers; its error is that of the one that read
+        # further, as sat (probability) or jsat (justification) reports it
+        f = write(tmp_path, "f.pj", text + "\n")
+        assert main([parser, f]) == 2
+        expected = capsys.readouterr().err
+        assert expected.startswith("error: ")
+        assert main(["atoms", f]) == 2
+        assert capsys.readouterr().err == expected
+
 
 class TestCheck:
     def test_bad_model_fails(self, tmp_path, capsys):
