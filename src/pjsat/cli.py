@@ -22,13 +22,15 @@ from .jsem import jformula_sat, jsat_test
 from .linrat import system_str
 from .syntax import (
     DEFAULT_ATOM_CAP,
+    Atom,
     EnumerationLimitError,
     OutputLimitError,
     ParseError,
-    atoms_of,
+    assignments,
     basis_of,
     parse_jformula,
     parse_pformula,
+    within_cap,
 )
 
 EXIT_TRUE = 0
@@ -141,10 +143,11 @@ def run(args) -> int:
                 f = parse_jformula(text)
             except ParseError as j_err:  # report the parse that got further
                 raise p_err if p_err.pos > j_err.pos else j_err
-        jsat = jsat_test(basis_of(f), cs)
-        for i, atom in enumerate(atoms_of(f, cap=args.cap), 1):
-            verdict = "jsat" if jsat(atom.signs) else "junsat"
-            print(f"atom {i} {verdict}: {atom}")
+        basis = within_cap(basis_of(f), args.cap)  # before the filter is built
+        jsat = jsat_test(basis, cs)
+        for i, signs in enumerate(assignments(lambda values: True, len(basis)), 1):
+            verdict = "jsat" if jsat(signs) else "junsat"
+            print(f"atom {i} {verdict}: {Atom(basis, signs)}")
         return EXIT_TRUE
 
     if args.command == "check":

@@ -8,9 +8,9 @@ and term metavariables (S, T); the two sorts never mix.
 
 Each built-in scheme is defined once, as a builder ``build(A, B, C, S, T)``
 returning its instance for the given metavariables.  ``Scheme.pattern``
-is the builder applied to the metavariables named A, B, C, S, T; the
-derivation search instantiates a scheme by applying its builder to fresh
-metavariables instead.
+is the builder applied to the metavariables named A, B, C, S, T.
+``ConstantSpec.axioms`` says what a constant justifies, for both
+``cs_contains`` and the derivation search in ``jsem.derives``.
 """
 
 from __future__ import annotations
@@ -36,16 +36,16 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class FMeta:
-    """Formula metavariable in a scheme or query pattern."""
+    """Formula metavariable in a pattern; a fresh one is named by object()."""
 
-    name: str
+    name: object
 
 
 @dataclass(frozen=True)
 class TMeta:
-    """Term metavariable in a scheme or query pattern."""
+    """Term metavariable in a pattern; a fresh one is named by object()."""
 
-    name: str
+    name: object
 
 
 @dataclass(frozen=True)
@@ -183,15 +183,23 @@ class ConstantSpec:
     def schemes_of(self, cname: str):
         return self.schematic.get(cname, frozenset())
 
+    def axioms(self, cname: str):
+        """Lazily, the formulas the constant cname justifies: each of its
+        schemes in sorted-name order, built on fresh metavariables, so
+        that no two instances share one, then its finite entries."""
+        for sname in sorted(self.schemes_of(cname)):
+            yield _SCHEME_BY_NAME[sname].build(
+                FMeta(object()), FMeta(object()), FMeta(object()),
+                TMeta(object()), TMeta(object()),
+            )
+        for c, phi in self.finite:
+            if c == cname:
+                yield phi
+
 
 def cs_contains(cs: ConstantSpec, cname: str, phi) -> bool:
     """Membership test: (cname, phi) in the specification, phi ground."""
-    if (cname, phi) in cs.finite:
-        return True
-    for sname in cs.schemes_of(cname):
-        if match(_SCHEME_BY_NAME[sname].pattern, phi) is not None:
-            return True
-    return False
+    return any(match(a, phi) is not None for a in cs.axioms(cname))
 
 
 def validate(

@@ -8,9 +8,10 @@ sum conditions, and the atom is satisfiable iff none of its negated
 assertions falls inside that closure.  Membership is decided by a
 goal-directed search over the term structure, with first-order unification
 over the two-sorted pattern language (formula and term metavariables).
-A constant's axiom scheme is instantiated by calling the scheme's builder
-on five metavariables fresh to the search, so that every use of a scheme
-in a derivation is renamed apart from every other.
+A constant's formulas come from ``ConstantSpec.axioms``.  Its scheme
+instances and each application step's antecedent are built on fresh
+metavariables, each named by a new object, so every use of a scheme in a
+derivation is renamed apart from every other.
 
 The filter is compiled once per formula (``jsat_test``): the search for a
 negated assertion reads only the positives on the terms it visits, so
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 
-from .cspec import ConstantSpec, FMeta, TMeta, scheme_named, unify
+from .cspec import ConstantSpec, FMeta, unify
 from .syntax import (
     App,
     Assert,
@@ -47,51 +48,32 @@ class BasisMismatchError(ValueError):
     """A formula mentions a basic subformula outside the atom's basis."""
 
 
-def _fresh_supply():
-    counter = itertools.count()
-    return lambda: f"_G{next(counter)}"
-
-
-def derives(positives, cs: ConstantSpec, t, phi, subst=None, fresh=None):
+def derives(positives, cs: ConstantSpec, t, phi, subst=None):
     """Yield every substitution under which phi belongs to the minimal
     evidence set of term t generated by the positive assertions, given as
     (term, body) pairs, and the constant spec cs.
 
-    Rules: (hyp) positives on exactly t; (cs) scheme/finite entries of a
+    Rules: (hyp) positives on exactly t; (cs) then ``cs.axioms`` of a
     constant; (app) t = u.v via an implication with a fresh antecedent;
     (sum) either summand.  '!' and variables admit only (hyp).
     """
     if subst is None:
         subst = {}
-    if fresh is None:
-        fresh = _fresh_supply()
-    for s, gamma in positives:
-        if s == t:
-            s2 = unify(gamma, phi, subst)
-            if s2 is not None:
-                yield s2
+    candidates = (gamma for s, gamma in positives if s == t)
     if isinstance(t, Const):
-        for sname in sorted(cs.schemes_of(t.name)):
-            pat = scheme_named(sname).build(
-                FMeta(fresh()), FMeta(fresh()), FMeta(fresh()),
-                TMeta(fresh()), TMeta(fresh()),
-            )
-            s2 = unify(pat, phi, subst)
-            if s2 is not None:
-                yield s2
-        for cname, psi in cs.finite:
-            if cname == t.name:
-                s2 = unify(psi, phi, subst)
-                if s2 is not None:
-                    yield s2
-    elif isinstance(t, App):
-        antecedent = FMeta(fresh())
+        candidates = itertools.chain(candidates, cs.axioms(t.name))
+    for psi in candidates:
+        s2 = unify(psi, phi, subst)
+        if s2 is not None:
+            yield s2
+    if isinstance(t, App):
+        antecedent = FMeta(object())
         implication = JNot(JAnd(antecedent, JNot(phi)))
-        for s1 in derives(positives, cs, t.left, implication, subst, fresh):
-            yield from derives(positives, cs, t.right, antecedent, s1, fresh)
+        for s1 in derives(positives, cs, t.left, implication, subst):
+            yield from derives(positives, cs, t.right, antecedent, s1)
     elif isinstance(t, Sum):
-        yield from derives(positives, cs, t.left, phi, subst, fresh)
-        yield from derives(positives, cs, t.right, phi, subst, fresh)
+        yield from derives(positives, cs, t.left, phi, subst)
+        yield from derives(positives, cs, t.right, phi, subst)
 
 
 def _visited_terms(t):

@@ -119,16 +119,15 @@ def _integer_row(coeffs, rhs):
 
 def _pivot(tableau, basis, row, col):
     """Fraction-free Gauss-Jordan step on tableau[row][col]: the one
-    elimination in linrat.  The pivot row is negated if its pivot entry is
-    negative, making it p > 0; every other row with an entry f in column
-    col becomes p*line - f*prow, divided by the gcd of its entries.  Both
-    terms are divided by gcd(p, f) first, so when p divides f the row is
-    not rescaled, and f*prow is subtracted on prow's nonzero columns only."""
+    elimination in linrat.  Callers pivot only on an entry p > 0: the
+    ratio test picks one, and a row's basic entry starts at its positive
+    scale and is only ever scaled by positive factors.  Every other row
+    with an entry f in column col becomes p*line - f*prow, divided by the
+    gcd of its entries.  Both terms are divided by gcd(p, f) first, so
+    when p divides f the row is not rescaled, and f*prow is subtracted on
+    prow's nonzero columns only."""
     prow = tableau[row]
     p = prow[col]
-    if p < 0:
-        p = -p
-        prow = tableau[row] = [-v for v in prow]
     nonzero = [(k, v) for k, v in enumerate(prow) if v]
     for i, line in enumerate(tableau):
         f = line[col]

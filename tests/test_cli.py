@@ -126,6 +126,18 @@ class TestAtoms:
         assert main(["atoms", f]) == 2
         assert capsys.readouterr().err == expected
 
+    def test_cap_checked_before_the_filter_is_built(self, tmp_path, capsys, monkeypatch):
+        # compiling the J-filter over an over-cap basis could take long;
+        # the cap must refuse the formula first
+        def no_filter(basis, cs):
+            raise AssertionError("jsat_test called on an over-cap basis")
+
+        monkeypatch.setattr("pjsat.cli.jsat_test", no_filter)
+        text = " & ".join(f"P>=1/2 t{i}:p1" for i in range(1, 31))
+        f = write(tmp_path, "f.pj", text + "\n")
+        assert main(["atoms", f]) == 3
+        assert "enumeration cap is 20" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_bad_model_fails(self, tmp_path, capsys):

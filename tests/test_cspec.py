@@ -43,6 +43,32 @@ class TestBuiltinSchemes:
         assert match(scheme_named("TAUT1").pattern, bad) is None
 
 
+class TestAxioms:
+    def test_schemes_by_name_then_own_finite_entries(self):
+        own = {
+            parse_jformula("x1:p1 -> (x1+x2):p1"),
+            parse_jformula("p1 -> (p2 -> p1)"),
+        }
+        other = parse_jformula("x2:p2 -> (x1+x2):p2")
+        cs = ConstantSpec(
+            schematic={
+                "c": frozenset({"TAUT1", "APP", "SUM_L"}),
+                "d": frozenset({"TAUT2"}),
+            },
+            finite=frozenset({("c", phi) for phi in own} | {("d", other)}),
+        )
+        axioms = list(cs.axioms("c"))
+        assert len(axioms) == 5
+        for name, instance in zip(["APP", "SUM_L", "TAUT1"], axioms):
+            # a renaming of the scheme's pattern: each matches the other
+            pattern = scheme_named(name).pattern
+            assert match(pattern, instance) is not None
+            assert match(instance, pattern) is not None
+            assert instance != pattern
+        assert set(axioms[3:]) == own
+        assert list(cs.axioms("e")) == []
+
+
 class TestCsContains:
     def test_app_instance(self):
         cs = ConstantSpec(schematic={"c1": frozenset({"APP"})})

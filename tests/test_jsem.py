@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -183,14 +185,13 @@ class TestRenamingApart:
     @pytest.mark.parametrize("scheme", builtin_schemes(), ids=lambda s: s.name)
     def test_instances_are_renamed_apart(self, scheme):
         # derives binds the goal metavariable X to the scheme instance it
-        # makes; two calls on one fresh supply make two instances
+        # makes; two calls, with no name supply shared between them, make
+        # two instances on disjoint metavariables
         cs = ConstantSpec(schematic={"c": frozenset({scheme.name})})
         goal = FMeta("X")
-        counter = itertools.count()
-        fresh = lambda: f"_R{next(counter)}"  # noqa: E731
         renamings = []
         for _ in range(2):
-            (subst,) = derives((), cs, Const("c"), goal, {}, fresh)
+            (subst,) = derives((), cs, Const("c"), goal)
             mapping = {}
             assert _renaming(scheme.pattern, subst[goal], mapping)
             assert len(set(mapping.values())) == len(mapping) > 0
@@ -471,3 +472,25 @@ class TestAgainstSaturationOracle:
         c = atom_from(["u:(s:p1)"], ["(c_sum_l.u):(s+t):p1"])
         # now the SUM_L instance fires through the application
         assert atom_jsat(c, cs) == jsat_oracle(c, cs) == False
+
+
+class TestAgainstBottomUpClosure:
+    def test_deep_evidence_sign_tuples(self, monkeypatch):
+        # bench/checks.atom_jsat closes the evidence function bottom-up
+        # under the default constant specification and shares no code
+        # with jsem or cspec; the formulas of bench/workloads.evidence_family
+        # nest applications of (c_taut1+c_taut2) up to four deep
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+        checks = importlib.import_module("checks")
+        workloads = importlib.import_module("workloads")
+        cs = default_cs()
+        tuples = unsat = 0
+        for instance in workloads.evidence(1):
+            basis = basis_of(parse_pformula(instance.text))
+            jsat = jsat_test(basis, cs)
+            for signs in itertools.product((True, False), repeat=len(basis)):
+                expected = checks.atom_jsat(dict(zip(basis, signs)))
+                assert jsat(signs) == expected, (instance.name, signs)
+                tuples += 1
+                unsat += not expected
+        assert (tuples, unsat) == (960, 864)
