@@ -19,10 +19,18 @@ Both levels of Boolean structure are evaluated by one compiled test,
 ``syntax.truth_test``: the formula over the truth values of its
 probability literals (three-valued over the walk's partial assignments,
 and in the model check), and each literal body over an atom's signs.
+
+Each decision walks its formula once, into a compiled form (``_Form``):
+its basis, probability literals and size measures, and the body tests,
+P-level test and J-filter compiled from them.  The certificate reads the
+decision's compiled form, so a model is checked with the tests and the
+J-filter that produced it, not with rebuilt ones.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +46,7 @@ from .syntax import (
     JAnd,
     JNot,
     PFormula,
+    PAnd,
     PNot,
     ParseError,
     Prop,
@@ -47,8 +56,7 @@ from .syntax import (
     parse_jformula,
     rat_str,
     preorder,
-    size_p,
-    weight_size_bound,
+    shrink_bound,
     size_rat,
     truth_test,
     within_cap,
@@ -88,49 +96,111 @@ class SmallModel:
         )
 
 
-def check_model(model: SmallModel, f: PFormula) -> bool:
+class _Form:
+    """One decision's compiled form of a probability formula f, read by
+    both ``solve_sat`` and ``certify_model``.
+
+    One walk over f, each distinct AtLeast body walked once, gives what
+    ``_p_occurrences``, ``basis_of`` and ``size_p`` give, and ``bound``
+    is ``weight_size_bound(f)``.  Compiled from them once, after the cap
+    check: a ``truth_test`` per distinct body (``tests``, in ``bodies``
+    order), the P-level ``holds`` and, given cs, ``jsat_test(basis, cs)``.
+    """
+
+    def __init__(self, f: PFormula, cs: ConstantSpec | None = None, cap: int | None = None):
+        occs = {}
+        size = 0
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, AtLeast):
+                occs[g] = None
+                size += 2
+            elif isinstance(g, PAnd):
+                stack += (g.right, g.left)
+                size += 1
+            elif isinstance(g, PNot):
+                stack.append(g.body)
+                size += 1
+            else:
+                raise TypeError(f"not a probability formula: {g!r}")
+        self.occs = list(occs)
+        self.bodies = list(dict.fromkeys(occ.body for occ in occs))
+        basics = {
+            g for body in self.bodies for g in preorder(body) if isinstance(g, (Prop, Assert))
+        }
+        props = sorted((g for g in basics if isinstance(g, Prop)), key=lambda p: p.index)
+        self.basis = tuple(props + sorted(basics.difference(props), key=jformula_str))
+        self.size = size
+        if cap is not None:
+            within_cap(self.basis, cap)
+        index = {b: i for i, b in enumerate(self.basis)}
+        self.tests = [truth_test(body, index) for body in self.bodies]
+        self.holds = truth_test(f, {occ: i for i, occ in enumerate(self.occs)})
+        self.jsat = None if cs is None else jsat_test(self.basis, cs)
+
+    @functools.cached_property
+    def bound(self) -> int:
+        """``weight_size_bound(f)``, computed only when a model is certified."""
+        norm = max(size_rat(occ.threshold) for occ in self.occs)
+        return math.floor(shrink_bound(self.size, norm))
+
+
+def check_model(model: SmallModel, f: PFormula, *, form=None) -> bool:
     """Replace every AtLeast by its exact measure comparison and evaluate
-    the Boolean structure."""
-    needed = set(basis_of(f))
-    if not needed <= set(model.basis):
+    the Boolean structure.  Each distinct body's measure is read with the
+    tests of ``form``, f's compiled form (built here when not given), or
+    with ``SmallModel.measure`` when the worlds are over another basis."""
+    if form is None:
+        form = _Form(f)
+    if not set(form.basis) <= set(model.basis):
         raise BasisMismatchError("model basis does not cover the formula")
-    occs = _p_occurrences(f)
-    test = truth_test(f, {occ: i for i, occ in enumerate(occs)})
-    return test([model.measure(occ.body) >= occ.threshold for occ in occs])
+    if all(atom.basis == form.basis for atom, _ in model.worlds):
+        measures = [
+            sum((w for atom, w in model.worlds if test(atom.signs)), Fraction(0))
+            for test in form.tests
+        ]
+    else:
+        measures = [model.measure(body) for body in form.bodies]
+    measure = dict(zip(form.bodies, measures))
+    return form.holds([measure[occ.body] >= occ.threshold for occ in form.occs])
 
 
-def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec):
+def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec, *, form=None):
     """All small-model conditions, as a list of violation strings.
 
     Checks world count, weight positivity and additivity to 1, weight
     sizes against the certified bound, atom distinctness, per-world atom
-    satisfiability, and that the model satisfies the formula.
+    satisfiability, and that the model satisfies the formula.  Every
+    check reads ``form``, f's compiled form under cs (built here when not
+    given): worlds over its basis are J-checked by its filter.
     """
+    if form is None:
+        form = _Form(f, cs)
     problems = []
-    if len(model.worlds) > size_p(f):
-        problems.append(f"too many worlds: {len(model.worlds)} > {size_p(f)}")
+    if len(model.worlds) > form.size:
+        problems.append(f"too many worlds: {len(model.worlds)} > {form.size}")
     total = sum((w for _, w in model.worlds), Fraction(0))
     if total != 1:
         problems.append(f"weights sum to {rat_str(total)}, not 1")
-    bound = weight_size_bound(f)
     for i, (atom, w) in enumerate(model.worlds):
         if w <= 0:
             problems.append(f"world {i + 1} has non-positive weight {rat_str(w)}")
-        elif size_rat(w) > bound:
+        elif size_rat(w) > form.bound:
             problems.append(
-                f"world {i + 1} weight {rat_str(w)} has size {size_rat(w)} > {bound}"
+                f"world {i + 1} weight {rat_str(w)} has size {size_rat(w)} > {form.bound}"
             )
     atoms = [a for a, _ in model.worlds]
     if len(set(atoms)) != len(atoms):
         problems.append("duplicate atom across worlds")
-    filters = {}  # one J-filter per distinct world basis
+    filters = {form.basis: form.jsat}  # one J-filter per distinct world basis
     for i, (atom, _) in enumerate(model.worlds):
         jsat = filters.get(atom.basis)
         if jsat is None:
             jsat = filters[atom.basis] = jsat_test(atom.basis, cs)
         if not jsat(atom.signs):
             problems.append(f"world {i + 1} atom is not J-satisfiable")
-    if not check_model(model, f):
+    if not check_model(model, f, form=form):
         problems.append("model does not satisfy the formula")
     return problems
 
@@ -158,20 +228,15 @@ def solve_sat(
     basic solution is the model, one world per positive weight (the only
     sign tuples made into Atoms), and is certified before being returned.
     """
-    basis = within_cap(basis_of(f), cap)
-    index = {b: i for i, b in enumerate(basis)}
-    occs = _p_occurrences(f)
-    bodies = dict.fromkeys(occ.body for occ in occs)
-    tests = [truth_test(body, index) for body in bodies]
-    jsat = jsat_test(basis, cs)
+    form = _Form(f, cs, cap)
+    basis, occs, tests, jsat = form.basis, form.occs, form.tests, form.jsat
     reps = {}
     for signs in assignments(lambda values: True, len(basis), jsat.cs_forced()):
         key = tuple([test(signs) for test in tests])
         if key not in reps and jsat(signs):
             reps[key] = signs
-    columns = {body: tuple(map(int, col)) for body, col in zip(bodies, zip(*reps))}
-    holds = truth_test(f, {occ: i for i, occ in enumerate(occs)})
-    for bits in assignments(holds, len(occs)):
+    columns = {body: tuple(map(int, col)) for body, col in zip(form.bodies, zip(*reps))}
+    for bits in assignments(form.holds, len(occs)):
         system = build_system(occs, bits, columns)
         if on_system is not None:
             on_system(system)
@@ -184,7 +249,7 @@ def solve_sat(
             if w > 0
         )
         model = SmallModel(worlds, basis)
-        problems = certify_model(model, f, cs)
+        problems = certify_model(model, f, cs, form=form)
         if problems:
             raise AssertionError(
                 "internal invariant violation: " + "; ".join(problems)

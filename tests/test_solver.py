@@ -1,14 +1,18 @@
+import importlib
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import pjsat.solver
 from pjsat.cspec import default_cs
 from pjsat.jsem import BasisMismatchError, atom_jsat, eval_under_atom, jformula_sat, jsat_test
-from pjsat.linrat import Rel, feasible
+from pjsat.linrat import Rel, Solution, feasible
 from pjsat.solver import (
     SmallModel,
+    _Form,
     _p_occurrences,
     build_system,
     certify_model,
@@ -32,6 +36,7 @@ from pjsat.syntax import (
     parse_pformula,
     size_p,
     truth_test,
+    weight_size_bound,
 )
 
 from _gen import THRESHOLDS, cs_assert_jformula, rand_jformula, rand_pformula, trap_jformula
@@ -391,11 +396,130 @@ class TestCheckModel:
         m = model_of((atom(b, (True,)), F(1, 2)), (atom(b, (False,)), F(1, 2)))
         assert not check_model(m, f)
 
+    def test_model_over_a_larger_basis(self):
+        b = basis_of(parse_pformula("P>=1/2 (p1 & p2)"))
+        m = model_of((atom(b, (True, False)), F(1, 2)), (atom(b, (False, True)), F(1, 2)))
+        assert check_model(m, parse_pformula("P>=1/2 p1 & P>=1/2 p2"))
+        assert not check_model(m, parse_pformula("P>=2/3 p1"))
+        assert certify_model(m, parse_pformula("P>=1/2 p1"), CS) == []
+
     def test_basis_mismatch(self):
         f = parse_pformula("P>=1 p2")
         a = atom(basis_of(parse_pformula("P>=1 p1")), (True,))
         with pytest.raises(BasisMismatchError):
             check_model(model_of((a, F(1))), f)
+
+
+class TestCertifyModel:
+    # one hand-built model per check, each failing only that check
+
+    def certify(self, text, *worlds):
+        f = parse_pformula(text)
+        basis = basis_of(f)
+        return certify_model(model_of(*((atom(basis, s), w) for s, w in worlds)), f, CS)
+
+    def test_world_count(self):
+        # size_p is 2, so a third world is one too many
+        problems = self.certify(
+            "P>=1/3 (p1 & p2)",
+            ((True, True), F(1, 3)), ((True, False), F(1, 3)), ((False, True), F(1, 3)),
+        )
+        assert problems == ["too many worlds: 3 > 2"]
+
+    def test_weight_sum(self):
+        problems = self.certify("P>=1/2 p1", ((True,), F(1, 2)))
+        assert problems == ["weights sum to 1/2, not 1"]
+
+    def test_positive_weights(self):
+        problems = self.certify("P>=1/2 p1", ((True,), F(1)), ((False,), F(0)))
+        assert problems == ["world 2 has non-positive weight 0"]
+
+    def test_weight_size_bound(self):
+        # the bound is floor(2 * (2*3 + 2*log2(2) + 1)) = 18
+        small = F(1, 2**20)
+        problems = self.certify("P>=1/2 p1", ((True,), 1 - small), ((False,), small))
+        assert problems == [
+            "world 1 weight 1048575/1048576 has size 41 > 18",
+            "world 2 weight 1/1048576 has size 22 > 18",
+        ]
+
+    def test_distinct_atoms(self):
+        problems = self.certify("P>=1/2 p1", ((True,), F(1, 2)), ((True,), F(1, 2)))
+        assert problems == ["duplicate atom across worlds"]
+
+    def test_jsat_worlds(self):
+        # the only world negates an assertion the constant specification derives
+        problems = self.certify(
+            "~P>=1/2 c_taut1:(p1 -> (p2 -> p1))", ((True, True, False), F(1))
+        )
+        assert problems == ["world 1 atom is not J-satisfiable"]
+
+    def test_formula(self):
+        problems = self.certify("P>=2/3 p1", ((True,), F(1, 2)), ((False,), F(1, 2)))
+        assert problems == ["model does not satisfy the formula"]
+        a = atom(basis_of(parse_pformula("P>=1 p1")), (True,))
+        with pytest.raises(BasisMismatchError):
+            certify_model(model_of((a, F(1))), parse_pformula("P>=1 p2"), CS)
+
+    def test_solve_sat_refuses_a_bad_model(self, monkeypatch):
+        def doubled(system):
+            sol = feasible(system)
+            return None if sol is None else Solution(tuple(2 * w for w in sol.values))
+
+        monkeypatch.setattr(pjsat.solver, "feasible", doubled)
+        with pytest.raises(AssertionError, match="weights sum to 2, not 1"):
+            solve_sat(parse_pformula("P>=1/2 p1 & P>=1/2 ~p1"), CS)
+
+
+class TestForm:
+    def test_one_walk_agrees_with_the_helpers(self, monkeypatch):
+        # the compiled form's basis, occurrences, size and weight bound are
+        # those of basis_of, _p_occurrences, size_p and weight_size_bound,
+        # on random formulas, application traps, repeated bodies and the
+        # deep evidence terms of bench/workloads.evidence_family
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        formulas = [parse_pformula(instance.text) for instance in workloads.evidence(1)]
+        assert len(formulas) == 6
+        rng = random.Random(97)
+        for i in range(600):
+            if i % 3 == 0:
+                f = rand_pformula(rng, depth=rng.randint(0, 4), body_depth=rng.randint(0, 3))
+            elif i % 3 == 1:
+                f = AtLeast(rng.choice(THRESHOLDS), trap_jformula(rng))
+                g = rand_pformula(rng, depth=2)
+                f = PAnd(PNot(g), f) if rng.random() < 0.5 else PAnd(f, g)
+            else:
+                f = overlapping_pformula(rng, literals=rng.randint(1, 6))
+            formulas.append(f)
+        for f in formulas:
+            form = _Form(f)
+            assert form.basis == basis_of(f), f
+            assert form.occs == _p_occurrences(f), f
+            assert form.size == size_p(f), f
+            assert form.bound == weight_size_bound(f), f
+
+    def test_one_jsat_filter_per_decision(self, monkeypatch):
+        # the certificate J-checks the worlds with the decision's own filter
+        calls = []
+
+        def counted(basis, cs):
+            calls.append(basis)
+            return jsat_test(basis, cs)
+
+        monkeypatch.setattr(pjsat.solver, "jsat_test", counted)
+        rng = random.Random(101)
+        formulas = [parse_pformula("P>=1/2 p1 & P>=1/3 t:(p1 -> p2) & ~P>=1/4 (s.t):p2")]
+        formulas += [overlapping_pformula(rng) for _ in range(40)]
+        sats = 0
+        for f in formulas:
+            if len(basis_of(f)) > 8:
+                continue
+            calls.clear()
+            if solve_sat(f, CS) is not None:
+                sats += 1
+                assert len(calls) == 1, f
+        assert sats > 10
 
 
 class TestValid:
