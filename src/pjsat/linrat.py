@@ -3,21 +3,22 @@
 Systems are rows of rational coefficients with relations {=, <=, >=, <}
 over implicitly non-negative variables.  ``feasible`` is the one simplex
 routine: exact, Dantzig pricing with a Bland pivot after each degenerate
-one, its objective row kept in the tableau.  Phase 1 always runs; phase
-2, which maximizes a slack epsilon, runs only when some row is strict,
-and it continues on phase 1's tableau, artificial columns and all.  It
-returns a basic solution, which the solver takes as its model.  Its
-tableau is fraction-free, on Python ints, after Edmonds (1967) and
-Bareiss (1968).  ``shrink_solution`` turns any non-negative solution into
-a basic one with few positive entries and certified entry sizes: it pins
-every row at the solution's value, restricts the system to the
-solution's support and calls ``feasible`` there.  ``_pivot`` is the only
-elimination step in the module.
+one.  Each row starts basic on its own slack where it can, else on an
+artificial.  Phase 1 always runs; phase 2, which maximizes a slack
+epsilon, runs only when some row is strict, and it continues on phase
+1's tableau, artificial columns and all.  It returns a basic solution,
+which the solver takes as its model.  Its tableau is fraction-free, on
+Python ints, after Edmonds (1967) and Bareiss (1968).
+``shrink_solution`` turns any non-negative solution into a basic one
+with few positive entries and certified entry sizes: it pins every row
+at the solution's value, restricts the system to the solution's support
+and calls ``feasible`` there.  ``_pivot`` is the only pivot step here.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,10 +119,10 @@ def _integer_row(coeffs, rhs):
 
 
 def _pivot(tableau, basis, row, col):
-    """Fraction-free Gauss-Jordan step on tableau[row][col]: the one
-    elimination in linrat.  Callers pivot only on an entry p > 0: the
-    ratio test picks one, and a row's basic entry starts at its positive
-    scale and is only ever scaled by positive factors.  Every other row
+    """Fraction-free Gauss-Jordan step on tableau[row][col]: the one pivot
+    in linrat.  Callers pivot only on an entry p > 0: the ratio test picks
+    one, and a row's basic entry starts at its positive scale and is only
+    ever scaled by positive factors.  Every other row
     with an entry f in column col becomes p*line - f*prow, divided by the
     gcd of its entries.  Both terms are divided by gcd(p, f) first, so
     when p divides f the row is not rescaled, and f*prow is subtracted on
@@ -144,13 +145,19 @@ def _pivot(tableau, basis, row, col):
 
 
 def _price_out(tableau, basis, cost):
-    """Append cost as the objective row, priced out over the basis: its
-    entries become the reduced costs, its last entry minus the objective,
-    all times one positive factor."""
-    tableau.append(list(cost) + [0])
-    for i, b in enumerate(basis):
-        if tableau[-1][b] != 0:
-            _pivot(tableau, basis, i, b)
+    """Append cost as the objective row, priced out over the basis in one
+    pass, gcd-reduced: L*cost minus (L/p)*cost[b] times each basic row of
+    pivot p on its basic column b, L the lcm of those p.  Its entries are
+    the reduced costs, its last entry minus the objective, all times one
+    positive factor, as pivoting on each basic b with cost[b] != 0 gives."""
+    priced = [(tableau[i], b) for i, b in enumerate(basis) if cost[b]]
+    scale = math.lcm(*(line[b] for line, b in priced))
+    row = [scale * c for c in cost] + [0]
+    for line, b in priced:
+        f = scale // line[b] * cost[b]
+        row = [r - f * v for r, v in zip(row, line)]
+    g = math.gcd(*row)
+    tableau.append([v // g for v in row] if g > 1 else row)
 
 
 def _run_simplex(tableau, basis, enterable=None):
@@ -201,11 +208,19 @@ def feasible(system: LinearSystem):
 
     The tableau's columns are the variables, then a slack eps when some
     row is strict, then one slack per non-equality row, then one
-    artificial per row.  A strict row ``a < b`` is written ``a + eps <= b``
-    and ``eps <= 1`` is added as the strict row ``0 < 1``.  Phase 1
-    minimizes the sum of artificials.  Without a strict row its basic
-    solution is the answer.  Otherwise phase 2 maximizes eps, and the
-    system is feasible iff the optimum has eps > 0.
+    artificial per row that does not start on its slack.  A strict row
+    ``a < b`` is written ``a + eps <= b`` and ``eps <= 1`` is added as the
+    strict row ``0 < 1``.  Every row is stored with a non-negative
+    right-hand side, and it starts basic on its slack when the slack's
+    stored entry is positive: ``<=`` and ``<`` rows with rhs >= 0, ``>=``
+    rows with rhs <= 0, and ``0 < 1`` (Bixby, ORSA J. Computing 1992).
+    Phase 1 minimizes the sum of the artificials.  Without a strict row
+    its basic solution is the answer.  Otherwise phase 2 maximizes eps,
+    and the system is feasible iff the optimum has eps > 0.  Row i's
+    phase-1 multiplier y_i, for the row as stored, is read at the column
+    s it starts basic on, scale_i times the unit vector e_i: the final
+    phase-1 row holds c_s - scale_i * y_i there, c_s 1 for an artificial
+    and 0 for a slack, times the objective row's positive factor.
 
     Phase 2 continues on phase 1's tableau (Dantzig, 1963): the eps
     objective is priced out as a new last row, below the phase-1 row, and
@@ -224,9 +239,9 @@ def feasible(system: LinearSystem):
     The tableau holds Python ints.  Each row, the objective row too, is a
     positive multiple of the rational row that Gauss-Jordan division
     would give, reduced by the gcd of its entries; an input row enters
-    multiplied by the lcm of its denominators, so its artificial entry is
-    that scale.  Every read is invariant under the multiples: signs of
-    reduced costs and of the objective, the test d_j == 0, a
+    multiplied by the lcm of its denominators, so its starting basic
+    entry is that scale.  Every read is invariant under the multiples:
+    signs of reduced costs and of the objective, the test d_j == 0, a
     cross-multiplied ratio test, and the basic values rhs_i / line_i[b].
     ``Fraction`` appears only at the edges, where input rows are read and
     the solution is returned; the solution is checked against the input
@@ -235,40 +250,40 @@ def feasible(system: LinearSystem):
     n = system.var_count
     eps = int(any(row.rel is Rel.LT for row in system.rows))
     rows = tuple(system.rows) + (Row((0,) * n, Rel.LT, 1),) * eps
-    m = len(rows)
+    # each row as ints, (scale, coeffs, rhs, rel); the solution is checked on them
+    ints = [(*_integer_row(row.coeffs, row.rhs), row.rel) for row in rows]
+    arts = [rel is Rel.EQ or (rhs > 0 if rel is Rel.GE else rhs < 0) for *_, rhs, rel in ints]
     art = n + eps + sum(row.rel is not Rel.EQ for row in rows)
-    tableau = []
-    basis = []
-    checks = []  # the integer rows, (coeffs, rhs, rel), for the solution check
+    width = art + sum(arts)
+    free = itertools.count(art)  # the artificial columns, in row order
+    tableau, basis = [], []
     slack = n + eps
-    for i, row in enumerate(rows):
-        # Every row is stored with a non-negative right-hand side.  A row
-        # a >= b reads -a + s = -b before that, so at b = 0 it is stored
-        # as -a + s = 0.
-        scale, coeffs, rhs = _integer_row(row.coeffs, row.rhs)
-        checks.append((coeffs, rhs, row.rel))
-        unit = -scale if rhs < 0 or (rhs == 0 and row.rel is Rel.GE) else scale
-        line = (coeffs if unit > 0 else [-c for c in coeffs]) + [0] * (art - n + m)
+    for (scale, coeffs, rhs, rel), artificial in zip(ints, arts):
+        # Stored with a non-negative right-hand side, a row a >= b reads
+        # -a + s = -b, and at b = 0 it is -a + s = 0, starting on s.
+        unit = -scale if rhs < 0 or (rhs == 0 and rel is Rel.GE) else scale
+        line = (coeffs if unit > 0 else [-c for c in coeffs]) + [0] * (width - n)
         line.append(abs(rhs))
-        if row.rel is Rel.LT:
+        if rel is Rel.LT:
             line[n] = unit
-        if row.rel is not Rel.EQ:
-            line[slack] = -unit if row.rel is Rel.GE else unit
+        if rel is not Rel.EQ:
+            line[slack] = -unit if rel is Rel.GE else unit
             slack += 1
-        line[art + i] = scale
+        start = next(free) if artificial else slack - 1  # a slack start is scale already
+        line[start] = scale
         tableau.append(line)
-        basis.append(art + i)
+        basis.append(start)
 
     # phase 1: minimize the sum of artificials
-    _price_out(tableau, basis, [0] * art + [1] * m)
+    _price_out(tableau, basis, [0] * art + [1] * (width - art))
     _run_simplex(tableau, basis)
     if tableau[-1][-1] < 0:  # the artificials' sum stays positive
         return None
 
     if eps:
         # phase 2 maximizes eps on the same tableau, below the phase-1 row
-        enterable = [d == 0 for d in tableau[-1][:art]] + [False] * m
-        _price_out(tableau, basis, [0] * n + [-1] + [0] * (art - n - 1 + m))
+        enterable = [d == 0 for d in tableau[-1][:art]] + [False] * (width - art)
+        _price_out(tableau, basis, [0] * n + [-1] + [0] * (width - n - 1))
         _run_simplex(tableau, basis, enterable)
 
     x = [Fraction(0)] * (n + eps)
@@ -277,8 +292,8 @@ def feasible(system: LinearSystem):
             x[b] = Fraction(tableau[i][-1], tableau[i][b])
     if eps and x[n] <= 0:
         return None
-    # checks also holds the eps row 0 < 1, which every solution satisfies
-    if not _satisfied(checks, [(j, v) for j, v in enumerate(x[:n]) if v]):
+    # ints also holds the eps row 0 < 1, which every solution satisfies
+    if not _satisfied([row[1:] for row in ints], [(j, v) for j, v in enumerate(x[:n]) if v]):
         raise AssertionError("simplex produced an invalid solution")
     return Solution(tuple(x[:n]))
 

@@ -382,10 +382,9 @@ class _Parser:
             den = self.expect("num")[3]
             if den == 0:
                 raise ParseError("zero denominator", tok[2])
-        r = Fraction(num, den)
-        if not (0 <= r <= 1):
+        if num > den:
             raise ParseError(f"threshold {num}/{den} outside [0,1]", tok[2])
-        return r
+        return Fraction(num, den)
 
 
 def _parse(text, rule):

@@ -35,6 +35,24 @@ class TestSat:
         assert main([command, f, "--cap", "3"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("P>=3/2 p1", "threshold 3/2 outside [0,1] (at position 3)"),
+            ("P>=2 p1", "threshold 2/1 outside [0,1] (at position 3)"),
+            ("P>=1/1 p1 & P>=7/3 p2", "threshold 7/3 outside [0,1] (at position 15)"),
+        ],
+    )
+    def test_threshold_above_one_exit_two(self, tmp_path, capsys, text, message):
+        f = write(tmp_path, "f.pj", text + "\n")
+        assert main(["sat", f]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_threshold_zero_over_five_is_sat(self, tmp_path, capsys):
+        f = write(tmp_path, "f.pj", "P>=0/5 p1\n")
+        assert main(["sat", f]) == 0
+        assert capsys.readouterr().out.startswith("SAT\n")
+
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["sat", str(tmp_path / "absent.pj")]) == 2
 
