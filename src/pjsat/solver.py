@@ -20,17 +20,17 @@ Both levels of Boolean structure are evaluated by one compiled test,
 probability literals (three-valued over the walk's partial assignments,
 and in the model check), and each literal body over an atom's signs.
 
-Each decision walks its formula once, into a compiled form (``_Form``):
-its basis, probability literals and size measures, and the body tests,
-P-level test and J-filter compiled from them.  The certificate reads the
-decision's compiled form, so a model is checked with the tests and the
-J-filter that produced it, not with rebuilt ones.
+Each decision compiles its formula once (``_Form``).  The form walks
+nothing itself: it reads the probability literals and ``size_p`` from
+``syntax.p_level`` and the basis from ``syntax.basis_of`` over the
+literals' bodies, and compiles the body tests, P-level test and J-filter
+from them.  The certificate reads the decision's compiled form, so a
+model is checked with the tests and the J-filter that produced it, not
+with rebuilt ones.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +46,6 @@ from .syntax import (
     JAnd,
     JNot,
     PFormula,
-    PAnd,
     PNot,
     ParseError,
     Prop,
@@ -54,18 +53,13 @@ from .syntax import (
     basis_of,
     jformula_str,
     parse_jformula,
+    p_level,
     rat_str,
-    preorder,
-    shrink_bound,
     size_rat,
     truth_test,
+    weight_size_bound,
     within_cap,
 )
-
-
-def _p_occurrences(f: PFormula):
-    """Distinct AtLeast subformulas in left-to-right traversal order."""
-    return list(dict.fromkeys(g for g in preorder(f) if isinstance(g, AtLeast)))
 
 
 def build_system(occs, bits, columns) -> LinearSystem:
@@ -100,50 +94,24 @@ class _Form:
     """One decision's compiled form of a probability formula f, read by
     both ``solve_sat`` and ``certify_model``.
 
-    One walk over f, each distinct AtLeast body walked once, gives what
-    ``_p_occurrences``, ``basis_of`` and ``size_p`` give, and ``bound``
-    is ``weight_size_bound(f)``.  Compiled from them once, after the cap
-    check: a ``truth_test`` per distinct body (``tests``, in ``bodies``
-    order), the P-level ``holds`` and, given cs, ``jsat_test(basis, cs)``.
+    It has no walk of its own: ``p_level(f)`` gives the distinct AtLeast
+    occurrences (``occs``) and ``size``, and ``basis_of`` over the
+    distinct bodies (``bodies``, in first-occurrence order) gives the
+    basis.  Compiled from them once, after the cap check: a
+    ``truth_test`` per distinct body (``tests``, in ``bodies`` order), the
+    P-level ``holds`` and, given cs, ``jsat_test(basis, cs)``.
     """
 
     def __init__(self, f: PFormula, cs: ConstantSpec | None = None, cap: int | None = None):
-        occs = {}
-        size = 0
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            if isinstance(g, AtLeast):
-                occs[g] = None
-                size += 2
-            elif isinstance(g, PAnd):
-                stack += (g.right, g.left)
-                size += 1
-            elif isinstance(g, PNot):
-                stack.append(g.body)
-                size += 1
-            else:
-                raise TypeError(f"not a probability formula: {g!r}")
-        self.occs = list(occs)
-        self.bodies = list(dict.fromkeys(occ.body for occ in occs))
-        basics = {
-            g for body in self.bodies for g in preorder(body) if isinstance(g, (Prop, Assert))
-        }
-        props = sorted((g for g in basics if isinstance(g, Prop)), key=lambda p: p.index)
-        self.basis = tuple(props + sorted(basics.difference(props), key=jformula_str))
-        self.size = size
+        self.occs, self.size = p_level(f)
+        self.bodies = list(dict.fromkeys(occ.body for occ in self.occs))
+        self.basis = basis_of(*self.bodies)
         if cap is not None:
             within_cap(self.basis, cap)
         index = {b: i for i, b in enumerate(self.basis)}
         self.tests = [truth_test(body, index) for body in self.bodies]
         self.holds = truth_test(f, {occ: i for i, occ in enumerate(self.occs)})
         self.jsat = None if cs is None else jsat_test(self.basis, cs)
-
-    @functools.cached_property
-    def bound(self) -> int:
-        """``weight_size_bound(f)``, computed only when a model is certified."""
-        norm = max(size_rat(occ.threshold) for occ in self.occs)
-        return math.floor(shrink_bound(self.size, norm))
 
 
 def check_model(model: SmallModel, f: PFormula, *, form=None) -> bool:
@@ -171,12 +139,14 @@ def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec, *, form=None
 
     Checks world count, weight positivity and additivity to 1, weight
     sizes against the certified bound, atom distinctness, per-world atom
-    satisfiability, and that the model satisfies the formula.  Every
-    check reads ``form``, f's compiled form under cs (built here when not
+    satisfiability, and that the model satisfies the formula.  The weight
+    sizes are checked against ``weight_size_bound(f)``; every other check
+    reads ``form``, f's compiled form under cs (built here when not
     given): worlds over its basis are J-checked by its filter.
     """
     if form is None:
         form = _Form(f, cs)
+    bound = weight_size_bound(f)
     problems = []
     if len(model.worlds) > form.size:
         problems.append(f"too many worlds: {len(model.worlds)} > {form.size}")
@@ -186,9 +156,9 @@ def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec, *, form=None
     for i, (atom, w) in enumerate(model.worlds):
         if w <= 0:
             problems.append(f"world {i + 1} has non-positive weight {rat_str(w)}")
-        elif size_rat(w) > form.bound:
+        elif size_rat(w) > bound:
             problems.append(
-                f"world {i + 1} weight {rat_str(w)} has size {size_rat(w)} > {form.bound}"
+                f"world {i + 1} weight {rat_str(w)} has size {size_rat(w)} > {bound}"
             )
     atoms = [a for a, _ in model.worlds]
     if len(set(atoms)) != len(atoms):

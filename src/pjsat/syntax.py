@@ -488,17 +488,18 @@ def assignments(holds, n, fixed=()):
         k += 1
 
 
-def basis_of(f):
-    """All propositions and justification assertions among the subformulas,
-    in canonical order: propositions ascending by index, then assertions
-    ascending by printed string."""
+def basis_of(*formulas):
+    """All propositions and justification assertions among the subformulas
+    of the formulas (the basis of their conjunction), in canonical order:
+    propositions ascending by index, then assertions by printed string."""
     props = set()
     asserts = set()
-    for g in preorder(f):
-        if isinstance(g, Prop):
-            props.add(g)
-        elif isinstance(g, Assert):
-            asserts.add(g)
+    for f in formulas:
+        for g in preorder(f):
+            if isinstance(g, Prop):
+                props.add(g)
+            elif isinstance(g, Assert):
+                asserts.add(g)
     ordered = sorted(props, key=lambda p: p.index)
     ordered += sorted(asserts, key=jformula_str)
     return tuple(ordered)
@@ -553,14 +554,30 @@ def atoms_of(f, cap: int = DEFAULT_ATOM_CAP):
     return (Atom(basis, s) for s in assignments(lambda values: True, len(basis)))
 
 
+def p_level(f: PFormula):
+    """The distinct AtLeast occurrences of f in first-occurrence order, and
+    ``size_p(f)``: 2 per literal occurrence, 1 per ~ and &.  One iterative
+    walk over the probability level, which does not enter the bodies."""
+    occs = {}
+    size = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        size += 1
+        if isinstance(g, AtLeast):
+            occs[g] = None
+            size += 1
+        elif isinstance(g, PAnd):
+            stack += (g.right, g.left)
+        elif isinstance(g, PNot):
+            stack.append(g.body)
+        else:
+            raise TypeError(f"not a probability formula: {g!r}")
+    return list(occs), size
+
+
 def size_p(f: PFormula) -> int:
-    if isinstance(f, AtLeast):
-        return 2
-    if isinstance(f, PNot):
-        return 1 + size_p(f.body)
-    if isinstance(f, PAnd):
-        return size_p(f.left) + 1 + size_p(f.right)
-    raise TypeError(f"not a probability formula: {f!r}")
+    return p_level(f)[1]
 
 
 def size_int(n: int) -> int:
@@ -590,7 +607,7 @@ def shrink_bound(r: int, l: int) -> float:
 
 def norm(f: PFormula) -> int:
     """Max size over all thresholds occurring in f."""
-    return max(size_rat(g.threshold) for g in preorder(f) if isinstance(g, AtLeast))
+    return max(size_rat(g.threshold) for g in p_level(f)[0])
 
 
 def weight_size_bound(f: PFormula) -> int:

@@ -17,13 +17,16 @@ from pjsat.linrat import Rel
 from pjsat.syntax import (
     App,
     Assert,
+    AtLeast,
     Bang,
     Const,
     JAnd,
     JNot,
+    PNot,
     Prop,
     Sum,
     Var,
+    preorder,
     subf,
 )
 
@@ -137,6 +140,22 @@ def tt_eval(phi, atom) -> bool:
         return go(f.left) and go(f.right)
 
     return go(phi)
+
+
+# --- probability-level measures ---
+
+def p_occurrences(f):
+    """The distinct AtLeast occurrences of f, in preorder."""
+    return list(dict.fromkeys(g for g in preorder(f) if isinstance(g, AtLeast)))
+
+
+def p_size(f) -> int:
+    """size_p by its recursive definition: 2 per literal, 1 per ~ and &."""
+    if isinstance(f, AtLeast):
+        return 2
+    if isinstance(f, PNot):
+        return 1 + p_size(f.body)
+    return p_size(f.left) + 1 + p_size(f.right)
 
 
 # --- bounded forward-saturation atom satisfiability ---

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -13,7 +14,6 @@ from pjsat.linrat import Rel, Solution, feasible
 from pjsat.solver import (
     SmallModel,
     _Form,
-    _p_occurrences,
     build_system,
     certify_model,
     check_model,
@@ -33,13 +33,17 @@ from pjsat.syntax import (
     atoms_of,
     basis_of,
     parse_jformula,
+    p_level,
     parse_pformula,
+    shrink_bound,
     size_p,
+    size_rat,
     truth_test,
     weight_size_bound,
 )
 
 from _gen import THRESHOLDS, cs_assert_jformula, rand_jformula, rand_pformula, trap_jformula
+from _oracles import p_occurrences, p_size
 
 CS = default_cs()
 F = Fraction
@@ -114,7 +118,7 @@ class TestPDnf:
         for _ in range(60):
             f = rand_pformula(rng, depth=3)
             occs = _occurrences(f)
-            assert _p_occurrences(f) == occs
+            assert p_level(f)[0] == occs
             holds = truth_test(f, {occ: i for i, occ in enumerate(occs)})
             for bits in itertools.product((True, False), repeat=len(occs)):
                 assert holds(bits) == _eval_boolean(f, dict(zip(occs, bits)))
@@ -473,9 +477,11 @@ class TestCertifyModel:
 
 class TestForm:
     def test_one_walk_agrees_with_the_helpers(self, monkeypatch):
-        # the compiled form's basis, occurrences, size and weight bound are
-        # those of basis_of, _p_occurrences, size_p and weight_size_bound,
-        # on random formulas, application traps, repeated bodies and the
+        # the compiled form's occurrences, size and basis (over the bodies)
+        # agree with test-local references: preorder occurrences, the
+        # recursive size_p, and the basis of the whole formula; its size
+        # and occurrences give the weight bound a recursive walk gives.
+        # On random formulas, application traps, repeated bodies and the
         # deep evidence terms of bench/workloads.evidence_family
         monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
         workloads = importlib.import_module("workloads")
@@ -494,10 +500,32 @@ class TestForm:
             formulas.append(f)
         for f in formulas:
             form = _Form(f)
+            occs, size = p_occurrences(f), p_size(f)
             assert form.basis == basis_of(f), f
-            assert form.occs == _p_occurrences(f), f
-            assert form.size == size_p(f), f
-            assert form.bound == weight_size_bound(f), f
+            assert form.occs == occs, f
+            assert form.size == size, f
+            norm = max(size_rat(occ.threshold) for occ in occs)
+            assert weight_size_bound(f) == math.floor(shrink_bound(size, norm)), f
+
+    def test_solve_sat_walks_the_basis_once(self, monkeypatch):
+        # the compiled form reads basis_of through the solver module, once
+        # per decision, SAT or UNSAT
+        calls = []
+
+        def counted(*formulas):
+            calls.append(formulas)
+            return basis_of(*formulas)
+
+        monkeypatch.setattr(pjsat.solver, "basis_of", counted)
+        rng = random.Random(103)
+        formulas = [parse_pformula("P>=1/2 p1 & P>=1/2 ~p1 & P>=1 p2")]
+        formulas += [overlapping_pformula(rng) for _ in range(30)]
+        verdicts = set()
+        for f in formulas:
+            calls.clear()
+            verdicts.add(solve_sat(f, CS) is not None)
+            assert len(calls) == 1, f
+        assert verdicts == {True, False}
 
     def test_one_jsat_filter_per_decision(self, monkeypatch):
         # the certificate J-checks the worlds with the decision's own filter

@@ -28,6 +28,7 @@ from pjsat.syntax import (
     basis_of,
     jformula_str,
     norm,
+    p_level,
     parse_jformula,
     parse_pformula,
     parse_term,
@@ -37,12 +38,12 @@ from pjsat.syntax import (
     subf,
     term_str,
     truth_test,
+    weight_size_bound,
     within_cap,
 )
-from pjsat.solver import _p_occurrences
 
 from _gen import rand_atom_for, rand_jformula, rand_pformula
-from _oracles import tt_eval
+from _oracles import p_occurrences, tt_eval
 
 
 class TestParsing:
@@ -206,6 +207,17 @@ class TestSubfAndBasis:
         f = parse_pformula("P>=1 (p1 & ~p1)")
         assert basis_of(f) == (Prop(1),)
 
+    def test_basis_of_several_is_that_of_their_conjunction(self):
+        rng = random.Random(131)
+        for _ in range(200):
+            a = rand_jformula(rng, depth=rng.randint(0, 3))
+            b = rand_jformula(rng, depth=rng.randint(0, 3))
+            assert basis_of(a, b) == basis_of(JAnd(a, b)), (a, b)
+            assert basis_of(a, a) == basis_of(a)
+
+    def test_basis_of_no_formulas(self):
+        assert basis_of() == ()
+
 
 def _always(values):
     return True
@@ -311,6 +323,22 @@ class TestSizes:
         assert norm(parse_pformula("P>=3/4 p1 & ~P>=1/2 p2")) == 5
         assert norm(parse_pformula("P>=0 p1")) == size_rat(Fraction(0))
 
+    def test_measures_past_the_recursion_limit(self):
+        # P-levels built in code, deeper than the default recursion limit:
+        # 5000 nested negations, and a left-deep chain of 3000 conjunctions
+        half = Fraction(1, 2)
+        negated = AtLeast(half, Prop(1))
+        for _ in range(5000):
+            negated = PNot(negated)
+        chain = AtLeast(half, Prop(0))
+        for i in range(1, 3001):
+            chain = PAnd(chain, AtLeast(half, Prop(i % 7)))
+        for f, size, bound in ((negated, 5002, 152946), (chain, 9002, 290515)):
+            assert size_p(f) == size
+            assert norm(f) == 3
+            assert weight_size_bound(f) == bound
+        assert len(p_level(chain)[0]) == 7
+
 
 class TestAtomDistinctness:
     def test_no_shared_truth_assignment(self):
@@ -344,7 +372,7 @@ class TestTruthTest:
         rng = random.Random(89)
         for _ in range(60):
             f = rand_pformula(rng, depth=3)
-            occs = _p_occurrences(f)
+            occs = p_occurrences(f)
             test = truth_test(f, {occ: i for i, occ in enumerate(occs)})
             for bits in itertools.product((True, False), repeat=len(occs)):
                 assert test(bits) == _dict_eval(f, dict(zip(occs, bits)))
@@ -356,7 +384,7 @@ class TestTruthTest:
         decided = 0
         for _ in range(300):
             f = rand_pformula(rng, depth=3)
-            occs = _p_occurrences(f)
+            occs = p_occurrences(f)
             test = truth_test(f, {occ: i for i, occ in enumerate(occs)})
             partial = [rng.choice((True, False, None)) for _ in occs]
             verdict = test(partial)
@@ -373,7 +401,7 @@ class TestTruthTest:
 
     def test_kleene_verdicts_by_hand(self):
         f = parse_pformula("~(P>=1/2 p1 & ~P>=1 p2) & P>=1/3 p3")
-        occs = _p_occurrences(f)
+        occs = p_occurrences(f)
         test = truth_test(f, {occ: i for i, occ in enumerate(occs)})
         assert test([None] * 3) is None
         assert test([None, None, False]) is False
@@ -389,16 +417,18 @@ class TestTruthTest:
 
     def test_p_occurrences_in_first_occurrence_order(self):
         f = parse_pformula("~(P>=1/2 p2 & P>=1 p1) & P>=1/2 p2 & P>=0 p3")
-        assert _p_occurrences(f) == [
+        occs, size = p_level(f)
+        assert occs == [
             parse_pformula("P>=1/2 p2"),
             parse_pformula("P>=1 p1"),
             parse_pformula("P>=0 p3"),
         ]
+        assert size == 12
 
 
 def _walk(f, fixed=()):
     """assignments over f's P-level, with f's occurrences."""
-    occs = _p_occurrences(f)
+    occs = p_occurrences(f)
     holds = truth_test(f, {occ: i for i, occ in enumerate(occs)})
     return list(assignments(holds, len(occs), fixed))
 
@@ -408,7 +438,7 @@ class TestAssignments:
         rng, fixed_rng = random.Random(101), random.Random(103)
         for _ in range(600):
             f = rand_pformula(rng, depth=rng.randrange(1, 5))
-            occs = _p_occurrences(f)
+            occs = p_occurrences(f)
             n = len(occs)
             fixed = [i for i in range(n) if fixed_rng.random() < 0.25]
             expected = [
@@ -443,7 +473,7 @@ class TestAssignments:
         # tests the root and two prefixes per position: 2n + 1 calls
         n = 200
         f = parse_pformula(" & ".join(f"~P>={j}/{n + 1} p1" for j in range(1, n + 1)))
-        occs = _p_occurrences(f)
+        occs = p_occurrences(f)
         test = truth_test(f, {occ: i for i, occ in enumerate(occs)})
         calls = 0
 
