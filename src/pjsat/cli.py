@@ -90,9 +90,7 @@ def _read(path):
 
 
 def _load_cs(args):
-    if args.cs_path is None:
-        return cspec.default_cs()
-    cs = cspec.load_cs(_read(args.cs_path))
+    cs = cspec.default_cs() if args.cs_path is None else cspec.load_cs(_read(args.cs_path))
     diagnostics = cspec.validate(
         cs,
         require_injective=args.require_injective,

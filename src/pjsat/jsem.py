@@ -140,26 +140,15 @@ def atom_jsat(atom: Atom, cs: ConstantSpec) -> bool:
     return jsat_test(atom.basis, cs)(atom.signs)
 
 
-def truth_values(phi, atoms):
-    """phi's truth value under each atom, compiled once over the basis
-    that every atom shares."""
-    if not atoms:
-        return []
-    basis = atoms[0].basis
-    if any(a.basis != basis for a in atoms):
-        raise BasisMismatchError("atoms are over different bases")
+def eval_under_atom(phi, atom: Atom) -> bool:
+    """Truth value of phi under the atom's literal assignment."""
     try:
-        holds = truth_test(phi, {b: i for i, b in enumerate(basis)})
+        holds = truth_test(phi, {b: i for i, b in enumerate(atom.basis)})
     except KeyError as exc:
         raise BasisMismatchError(
             f"basic subformula not in atom basis: {exc.args[0]}"
         ) from None
-    return [holds(a.signs) for a in atoms]
-
-
-def eval_under_atom(phi, atom: Atom) -> bool:
-    """Truth value of phi under the atom's literal assignment."""
-    return truth_values(phi, [atom])[0]
+    return holds(atom.signs)
 
 
 def jformula_sat(alpha, cs: ConstantSpec, cap: int = DEFAULT_ATOM_CAP) -> bool:

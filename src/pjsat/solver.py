@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cspec import ConstantSpec
-from .jsem import BasisMismatchError, jsat_test, truth_values
+from .jsem import BasisMismatchError, jsat_test
 from .linrat import LinearSystem, Rel, Row, feasible
 from .syntax import (
     Assert,
@@ -78,16 +78,11 @@ def build_system(occs, bits, columns) -> LinearSystem:
 class SmallModel:
     """Finite probabilistic model: worlds carrying atoms and positive
     rational weights summing to 1; the event algebra is the implicit
-    powerset with additive measure."""
+    powerset with additive measure.  Every world's atom is over ``basis``,
+    the one basis ``check_model`` and ``certify_model`` read it over."""
 
     worlds: tuple  # (Atom, Fraction) pairs
     basis: tuple
-
-    def measure(self, body) -> Fraction:
-        values = truth_values(body, [a for a, _ in self.worlds])
-        return sum(
-            (w for (_, w), v in zip(self.worlds, values) if v), Fraction(0)
-        )
 
 
 class _Form:
@@ -116,21 +111,28 @@ class _Form:
 
 def check_model(model: SmallModel, f: PFormula, *, form=None) -> bool:
     """Replace every AtLeast by its exact measure comparison and evaluate
-    the Boolean structure.  Each distinct body's measure is read with the
-    tests of ``form``, f's compiled form (built here when not given), or
-    with ``SmallModel.measure`` when the worlds are over another basis."""
+    the Boolean structure, over the model's one basis.
+
+    Raises ``BasisMismatchError`` unless f's basis is inside
+    ``model.basis`` and every world's atom is over ``model.basis``.  Each
+    distinct body is measured by one test over that basis: the tests of
+    ``form``, f's compiled form (built here when not given), when the
+    model is over the form's basis, and otherwise a ``truth_test`` per
+    body compiled once over ``model.basis``."""
     if form is None:
         form = _Form(f)
     if not set(form.basis) <= set(model.basis):
         raise BasisMismatchError("model basis does not cover the formula")
-    if all(atom.basis == form.basis for atom, _ in model.worlds):
-        measures = [
-            sum((w for atom, w in model.worlds if test(atom.signs)), Fraction(0))
-            for test in form.tests
-        ]
-    else:
-        measures = [model.measure(body) for body in form.bodies]
-    measure = dict(zip(form.bodies, measures))
+    if any(atom.basis != model.basis for atom, _ in model.worlds):
+        raise BasisMismatchError("world atoms are not over the model basis")
+    tests = form.tests
+    if model.basis != form.basis:
+        index = {b: i for i, b in enumerate(model.basis)}
+        tests = [truth_test(body, index) for body in form.bodies]
+    measure = {
+        body: sum((w for atom, w in model.worlds if test(atom.signs)), Fraction(0))
+        for body, test in zip(form.bodies, tests)
+    }
     return form.holds([measure[occ.body] >= occ.threshold for occ in form.occs])
 
 
@@ -142,10 +144,15 @@ def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec, *, form=None
     satisfiability, and that the model satisfies the formula.  The weight
     sizes are checked against ``weight_size_bound(f)``; every other check
     reads ``form``, f's compiled form under cs (built here when not
-    given): worlds over its basis are J-checked by its filter.
+    given).  ``check_model`` runs first, so a model whose worlds are not
+    all over its basis raises ``BasisMismatchError`` before any world is
+    J-checked.  The worlds are J-checked by one filter over the model's
+    basis: the form's own when the model is over the form's basis,
+    otherwise one ``jsat_test(model.basis, cs)``.
     """
     if form is None:
         form = _Form(f, cs)
+    satisfied = check_model(model, f, form=form)
     bound = weight_size_bound(f)
     problems = []
     if len(model.worlds) > form.size:
@@ -163,14 +170,11 @@ def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec, *, form=None
     atoms = [a for a, _ in model.worlds]
     if len(set(atoms)) != len(atoms):
         problems.append("duplicate atom across worlds")
-    filters = {form.basis: form.jsat}  # one J-filter per distinct world basis
-    for i, (atom, _) in enumerate(model.worlds):
-        jsat = filters.get(atom.basis)
-        if jsat is None:
-            jsat = filters[atom.basis] = jsat_test(atom.basis, cs)
+    jsat = form.jsat if model.basis == form.basis else jsat_test(model.basis, cs)
+    for i, atom in enumerate(atoms):
         if not jsat(atom.signs):
             problems.append(f"world {i + 1} atom is not J-satisfiable")
-    if not check_model(model, f, form=form):
+    if not satisfied:
         problems.append("model does not satisfy the formula")
     return problems
 

@@ -611,5 +611,7 @@ def norm(f: PFormula) -> int:
 
 
 def weight_size_bound(f: PFormula) -> int:
-    """Certified cap on the size of each world weight in a small model of f."""
-    return math.floor(shrink_bound(size_p(f), norm(f)))
+    """Certified cap on the size of each world weight in a small model of f,
+    from ``size_p(f)`` and ``norm(f)`` read off one ``p_level`` walk."""
+    occs, size = p_level(f)
+    return math.floor(shrink_bound(size, max(size_rat(g.threshold) for g in occs)))

@@ -1,5 +1,6 @@
 import pytest
 
+from pjsat import cspec
 from pjsat.cli import main
 
 
@@ -217,6 +218,22 @@ class TestCsLoading:
         f = write(tmp_path, "f.j", "t:p1\n")
         assert main(["jsat", f, "--cs", cs, "--require-injective"]) == 2
         assert "c1" in capsys.readouterr().err
+
+    def test_default_cs_is_validated_under_both_flags(self, tmp_path, capsys, monkeypatch):
+        # the default CS goes through the same validation as a loaded one,
+        # and passes both checks
+        calls = []
+        real = cspec.validate
+
+        def counted(cs, **flags):
+            calls.append(flags)
+            return real(cs, **flags)
+
+        monkeypatch.setattr(cspec, "validate", counted)
+        f = write(tmp_path, "f.pj", "P>=1/2 p1 & P>=1/2 ~p1\n")
+        assert main(["sat", f, "--require-injective", "--require-appropriate"]) == 0
+        assert capsys.readouterr().out.startswith("SAT\n")
+        assert calls == [{"require_injective": True, "require_appropriate": True}]
 
     def test_bad_cs_file_exit_two(self, tmp_path):
         cs = write(tmp_path, "cs.txt", "c1 : APP\n")

@@ -189,11 +189,6 @@ class TestBuildSystem:
         assert s.rows[1].coeffs == (F(0),)
         assert feasible(s) is None
 
-    def test_body_outside_basis(self):
-        atoms = list(atoms_of(parse_pformula("P>=1/2 p1")))
-        with pytest.raises(BasisMismatchError):
-            model_of((atoms[0], F(1))).measure(Prop(2))
-
 
 class TestSolveSat:
     def test_split_mass(self):
@@ -412,6 +407,46 @@ class TestCheckModel:
         a = atom(basis_of(parse_pformula("P>=1 p1")), (True,))
         with pytest.raises(BasisMismatchError):
             check_model(model_of((a, F(1))), f)
+
+    def test_worlds_over_two_bases(self):
+        # the model's basis covers f, but its second world is over another
+        # basis; certify_model raises before it J-checks any world
+        f = parse_pformula("P>=1/2 p1")
+        b, wider = basis_of(f), basis_of(parse_pformula("P>=1/2 (p1 & p2)"))
+        m = model_of((atom(b, (True,)), F(1, 2)), (atom(wider, (False, True)), F(1, 2)))
+        assert m.basis == b
+        with pytest.raises(BasisMismatchError):
+            check_model(m, f)
+
+        def jsat(signs):
+            pytest.fail("a world was J-checked")
+
+        form = _Form(f, CS)
+        form.jsat = jsat
+        with pytest.raises(BasisMismatchError):
+            certify_model(m, f, CS, form=form)
+
+    def test_larger_basis_compiles_one_jsat_filter(self, monkeypatch):
+        # three worlds over a basis larger than the formula's are J-checked
+        # by one filter, compiled over the model's basis
+        calls = []
+
+        def counted(basis, cs):
+            calls.append(basis)
+            return jsat_test(basis, cs)
+
+        f = parse_pformula("P>=1/3 p1")
+        form = _Form(f, CS)
+        b = basis_of(parse_pformula("P>=1/2 (p1 & (p2 & p3))"))
+        m = model_of(
+            (atom(b, (True, False, False)), F(1, 3)),
+            (atom(b, (False, True, False)), F(1, 3)),
+            (atom(b, (False, False, True)), F(1, 3)),
+        )
+        monkeypatch.setattr(pjsat.solver, "jsat_test", counted)
+        problems = certify_model(m, f, CS, form=form)
+        assert problems == ["too many worlds: 3 > 2"]
+        assert calls == [b]
 
 
 class TestCertifyModel:
