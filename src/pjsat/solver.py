@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cspec import ConstantSpec
 from .jsem import BasisMismatchError, jsat_test
@@ -54,10 +55,10 @@ from .syntax import (
     jformula_str,
     parse_jformula,
     p_level,
+    p_level_weight_bound,
     rat_str,
     size_rat,
     truth_test,
-    weight_size_bound,
     within_cap,
 )
 
@@ -94,7 +95,8 @@ class _Form:
     distinct bodies (``bodies``, in first-occurrence order) gives the
     basis.  Compiled from them once, after the cap check: a
     ``truth_test`` per distinct body (``tests``, in ``bodies`` order), the
-    P-level ``holds`` and, given cs, ``jsat_test(basis, cs)``.
+    P-level ``holds`` and, given cs, ``jsat_test(basis, cs)``; and, when
+    first asked for, ``weight_bound``, ``weight_size_bound(f)``.
     """
 
     def __init__(self, f: PFormula, cs: ConstantSpec | None = None, cap: int | None = None):
@@ -107,6 +109,10 @@ class _Form:
         self.tests = [truth_test(body, index) for body in self.bodies]
         self.holds = truth_test(f, {occ: i for i, occ in enumerate(self.occs)})
         self.jsat = None if cs is None else jsat_test(self.basis, cs)
+
+    @cached_property
+    def weight_bound(self) -> int:
+        return p_level_weight_bound(self.occs, self.size)
 
 
 def check_model(model: SmallModel, f: PFormula, *, form=None) -> bool:
@@ -142,18 +148,18 @@ def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec, *, form=None
     Checks world count, weight positivity and additivity to 1, weight
     sizes against the certified bound, atom distinctness, per-world atom
     satisfiability, and that the model satisfies the formula.  The weight
-    sizes are checked against ``weight_size_bound(f)``; every other check
-    reads ``form``, f's compiled form under cs (built here when not
-    given).  ``check_model`` runs first, so a model whose worlds are not
-    all over its basis raises ``BasisMismatchError`` before any world is
-    J-checked.  The worlds are J-checked by one filter over the model's
+    sizes are checked against ``weight_size_bound(f)``, as read off the
+    P-level of ``form``, f's compiled form under cs (built here when not
+    given), which every other check reads too.  ``check_model`` runs
+    first, so a model whose worlds are not all over its basis raises
+    ``BasisMismatchError`` before any world is J-checked.  The worlds are J-checked by one filter over the model's
     basis: the form's own when the model is over the form's basis,
     otherwise one ``jsat_test(model.basis, cs)``.
     """
     if form is None:
         form = _Form(f, cs)
     satisfied = check_model(model, f, form=form)
-    bound = weight_size_bound(f)
+    bound = form.weight_bound
     problems = []
     if len(model.worlds) > form.size:
         problems.append(f"too many worlds: {len(model.worlds)} > {form.size}")

@@ -613,5 +613,9 @@ def norm(f: PFormula) -> int:
 def weight_size_bound(f: PFormula) -> int:
     """Certified cap on the size of each world weight in a small model of f,
     from ``size_p(f)`` and ``norm(f)`` read off one ``p_level`` walk."""
-    occs, size = p_level(f)
+    return p_level_weight_bound(*p_level(f))
+
+
+def p_level_weight_bound(occs, size) -> int:
+    """``weight_size_bound`` of the formula whose ``p_level`` is (occs, size)."""
     return math.floor(shrink_bound(size, max(size_rat(g.threshold) for g in occs)))

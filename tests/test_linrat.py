@@ -33,16 +33,18 @@ def sys_of(rows, var_count):
     return LinearSystem(rows, var_count)
 
 
+HOLDS = {Rel.EQ: operator.eq, Rel.LE: operator.le, Rel.GE: operator.ge, Rel.LT: operator.lt}
+
+
 def ref_satisfies(system: LinearSystem, values) -> bool:
     """satisfies on Fraction arithmetic, row by row: the reference the
     integer check must match.  It reads values by zip, so it does not see
     a values vector of the wrong length."""
     if any(v < 0 for v in values):
         return False
-    holds = {Rel.EQ: operator.eq, Rel.LE: operator.le, Rel.GE: operator.ge, Rel.LT: operator.lt}
     for row in system.rows:
         lhs = sum(c * v for c, v in zip(row.coeffs, values))
-        if not holds[row.rel](lhs, row.rhs):
+        if not HOLDS[row.rel](lhs, row.rhs):
             return False
     return True
 
@@ -116,14 +118,47 @@ def _ref_run_simplex(tableau, basis, enterable=None):
         _ref_pivot(tableau, basis, leave, enter)
 
 
-def ref_feasible(system: LinearSystem, phase2=None):
-    """linrat.feasible on Fraction entries.  When phase2 is a Counter, it
-    counts the calls whose phase 2 ends with an artificial still basic,
-    under "artificial_basic"."""
+def ref_presolve(rows):
+    """The rows that become tableau rows, in order, or None when a row the
+    equalities decide fails: linrat's three presolve rules, written here
+    on their own.  An equality stays.  An all-zero inequality is compared
+    with 0, and one whose coefficients equal some equality's with the
+    first such equality's rhs; it goes when that holds.  Any other
+    inequality stands for every inequality with its coefficients and
+    relation, in the first one's place, as their tightest."""
+    out = []
+    for i, row in enumerate(rows):
+        if row.rel is Rel.EQ:
+            out.append(row)
+            continue
+        same = [r.rhs for r in rows if r.rel is Rel.EQ and r.coeffs == row.coeffs]
+        if all(c == 0 for c in row.coeffs):
+            same = [0]
+        if same:
+            if not HOLDS[row.rel](same[0], row.rhs):
+                return None
+            continue
+        group = [j for j, r in enumerate(rows) if (r.coeffs, r.rel) == (row.coeffs, row.rel)]
+        if group[0] == i:
+            tightest = (max if row.rel is Rel.GE else min)(rows[j].rhs for j in group)
+            out.append(Row(row.coeffs, row.rel, tightest))
+    return out
+
+
+def ref_feasible(system: LinearSystem, seen=None):
+    """linrat.feasible on Fraction entries.  When seen is a Counter, it
+    counts the calls whose presolve drops a row or decides the system,
+    under "dropped", and those whose phase 2 ends with an artificial
+    still basic, under "artificial_basic"."""
     n = system.var_count
     one, zero = Fraction(1), Fraction(0)
-    eps = int(any(row.rel is Rel.LT for row in system.rows))
-    rows = tuple(system.rows) + (Row((zero,) * n, Rel.LT, one),) * eps
+    rows = ref_presolve(system.rows)
+    if seen is not None:
+        seen["dropped"] += rows is None or len(rows) < len(system.rows)
+    if rows is None:
+        return None
+    eps = int(any(row.rel is Rel.LT for row in rows))
+    rows = tuple(rows) + (Row((zero,) * n, Rel.LT, one),) * eps
     art = n + eps + sum(row.rel is not Rel.EQ for row in rows)
     lines = []
     starts = []
@@ -170,8 +205,8 @@ def ref_feasible(system: LinearSystem, phase2=None):
         enterable = [d == 0 for d in tableau[-1][:art]] + [False] * (width - art)
         _ref_price_out(tableau, basis, [0] * n + [-1] + [0] * (width - n - 1))
         _ref_run_simplex(tableau, basis, enterable)
-        if phase2 is not None:
-            phase2["artificial_basic"] += any(b >= art for b in basis)
+        if seen is not None:
+            seen["artificial_basic"] += any(b >= art for b in basis)
 
     x = [zero] * (n + eps)
     for i, b in enumerate(basis):
@@ -325,11 +360,13 @@ class TestFeasible:
     def test_matches_fraction_reference(self, monkeypatch):
         # Same results and the same pivots, in order, as the Fraction
         # simplex: the integer tableau takes the reference's path, Dantzig
-        # pricing with a Bland pivot after each degenerate one.  Some
-        # phase-2 runs end with an artificial basic at 0, so the paths
-        # are compared where the phase-1 tableau carries one through.
+        # pricing with a Bland pivot after each degenerate one, on the
+        # rows that the reference's own presolve keeps.  Some draws drop
+        # rows, and some phase-2 runs end with an artificial basic at 0,
+        # so the paths are compared where the phase-1 tableau carries one
+        # through.
         path, ref_path = [], []
-        phase2 = Counter()
+        seen = Counter()
 
         def recording(pivot, out):
             def step(tableau, basis, row, col):
@@ -348,11 +385,49 @@ class TestFeasible:
             path.clear()
             ref_path.clear()
             sol = feasible(s)
-            assert sol == ref_feasible(s, phase2)
+            assert sol == ref_feasible(s, seen)
             assert path == ref_path
             seen_feasible += sol is not None
         assert 600 < seen_feasible < 2400
-        assert phase2["artificial_basic"] > 0
+        assert seen["artificial_basic"] > 0
+        assert seen["dropped"] > 300
+
+    def test_presolve_agrees_with_fourier_motzkin(self):
+        # Repeated bounds, rows with an equality's coefficients and all-zero
+        # rows of every relation are decided or merged before the tableau
+        # is built.  The verdict is Fourier-Motzkin's on the whole system,
+        # and every solution satisfies every input row, dropped ones too.
+        rng = random.Random(83)
+        seen = Counter()
+        for _ in range(1000):
+            s, x = rand_system_with_point(rng, max_rows=4, max_vars=4)
+            n = s.var_count
+            eq = tuple(F(rng.randint(0, 2)) for _ in range(n))
+            rows = list(s.rows) + [Row(eq, Rel.EQ, sum(c * v for c, v in zip(eq, x)))]
+            for _ in range(rng.randint(1, 4)):
+                coeffs = rng.choice((rng.choice(rows).coeffs, eq, (F(0),) * n))
+                value = sum(c * v for c, v in zip(coeffs, x))
+                rel = rng.choice(list(Rel))
+                rows.append(Row(coeffs, rel, value + rng.choice((-1, 0, 0, 1, F(1, 2)))))
+            rng.shuffle(rows)
+            s = LinearSystem(tuple(rows), n)
+            sol = feasible(s)
+            assert (sol is not None) == fm_feasible(s)
+            assert sol is None or ref_satisfies(s, sol.values)
+            kept = ref_presolve(s.rows)
+            seen["decided" if kept is None else "dropped" if len(kept) < len(rows) else "whole"] += 1
+            seen[sol is not None] += 1
+        assert seen[True] > 200 and seen[False] > 200
+        assert seen["decided"] > 200 and seen["dropped"] > 200
+
+    def test_decided_rows_fail_before_any_pivot(self, monkeypatch):
+        # a row the total decides and an all-zero row that fails end the
+        # call before a tableau is built
+        pivots = []
+        monkeypatch.setattr(linrat, "_pivot", lambda *step: pivots.append(step))
+        assert feasible(sys_of([([1, 1], Rel.EQ, 1), ([1, 1], Rel.LT, 1)], 2)) is None
+        assert feasible(sys_of([([0, 0], Rel.GE, F(1, 2))], 2)) is None
+        assert pivots == []
 
     @pytest.mark.parametrize(
         "rows, n",

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import pjsat.linrat
 import pjsat.solver
+import pjsat.syntax
 from pjsat.cspec import default_cs
 from pjsat.jsem import BasisMismatchError, atom_jsat, eval_under_atom, jformula_sat, jsat_test
 from pjsat.linrat import Rel, Solution, feasible
@@ -132,10 +134,21 @@ class TestPDnf:
             for s in systems:
                 assert len(s.rows) - 1 <= size_p(f) - 1
 
-    def test_wide_conjunction_tries_one_system(self):
+    def test_wide_conjunction_tries_one_system(self, monkeypatch):
         # 60 lower bounds over two bodies: of the 2^61 assignments only one
         # satisfies the P-level, and the walk reaches it without trying the
-        # rest; the contradicting literal makes its system infeasible
+        # rest; the contradicting literal makes its system infeasible.  The
+        # system keeps one row per literal, and feasible's presolve keeps
+        # one bound per body, so each LP takes a few pivots, not one per
+        # bound.
+        pivots = []
+        pivot = pjsat.linrat._pivot
+
+        def counted(*step):
+            pivots.append(step)
+            pivot(*step)
+
+        monkeypatch.setattr(pjsat.linrat, "_pivot", counted)
         bodies = ("(p1 | p2)", "(p1 & ~p2)")
         bounds = " & ".join(f"P>={j}/61 {bodies[j % 2]}" for j in range(1, 61))
         f = parse_pformula(bounds + " & ~P>=1/3 (p1 | p2)")
@@ -143,9 +156,12 @@ class TestPDnf:
         assert solve_sat(f, CS, on_system=systems.append) is None
         assert len(systems) == 1
         assert [r.rel for r in systems[0].rows[1:]] == [Rel.GE] * 60 + [Rel.LT]
+        assert len(pivots) <= 4
+        pivots.clear()
         sibling = parse_pformula(bounds)
         m = solve_sat(sibling, CS)
         assert m is not None
+        assert len(pivots) <= 6
         assert certify_model(m, sibling, CS) == []
 
 
@@ -541,6 +557,7 @@ class TestForm:
             assert form.size == size, f
             norm = max(size_rat(occ.threshold) for occ in occs)
             assert weight_size_bound(f) == math.floor(shrink_bound(size, norm)), f
+            assert form.weight_bound == weight_size_bound(f), f
 
     def test_solve_sat_walks_the_basis_once(self, monkeypatch):
         # the compiled form reads basis_of through the solver module, once
@@ -561,6 +578,20 @@ class TestForm:
             verdicts.add(solve_sat(f, CS) is not None)
             assert len(calls) == 1, f
         assert verdicts == {True, False}
+
+    def test_certify_reads_the_forms_p_level(self, monkeypatch):
+        # given the compiled form, the certificate takes its weight bound
+        # from the form and walks f's P-level no second time
+        f = parse_pformula("P>=1/2 p1 & P>=1/3 t:(p1 -> p2) & ~P>=1/4 (s.t):p2")
+        form = _Form(f, CS)
+        m = solve_sat(f, CS)
+
+        def no_walk(g):
+            raise AssertionError("p_level called")
+
+        monkeypatch.setattr(pjsat.syntax, "p_level", no_walk)
+        monkeypatch.setattr(pjsat.solver, "p_level", no_walk)
+        assert certify_model(m, f, CS, form=form) == []
 
     def test_one_jsat_filter_per_decision(self, monkeypatch):
         # the certificate J-checks the worlds with the decision's own filter
