@@ -12,6 +12,10 @@ All nodes are frozen dataclasses, so values are hashable and shareable;
 each composite node computes its hash once and keeps it (``_node``).
 Thresholds are stored as reduced ``fractions.Fraction`` in [0, 1].
 
+Parsing is one findall over the text, then recursive descent over the
+token strings; '(' in a justification formula is tried as a term before
+':' only when the run of term tokens after it is balanced and ends at ':'.
+
 Boolean structure is compiled once (``truth_test``); every enumeration of
 truth values, P-level or sign tuple, is the one walk ``assignments``.
 """
@@ -138,8 +142,9 @@ class AtLeast:
     body: JFormula
 
     def __post_init__(self):
-        if not (0 <= self.threshold <= 1):
-            raise ValueError(f"threshold {self.threshold} outside [0,1]")
+        t = self.threshold  # a Fraction or int: two int comparisons
+        if not 0 <= t.numerator <= t.denominator:
+            raise ValueError(f"threshold {t} outside [0,1]")
 
 
 @_node
@@ -211,199 +216,194 @@ pformula_str = jformula_str
 
 # --- lexer / parser ---
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<pge>P>=)
-  | (?P<plt>P<)
-  | (?P<arrow>->)
-  | (?P<prop>p[0-9]+)(?![A-Za-z0-9_])
-  | (?P<var>x[0-9]+)(?![A-Za-z0-9_])
-  | (?P<const>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<num>\d+)
-  | (?P<sym>[~&():.+!/|])
-    """,
-    re.VERBOSE,
-)
+_SPACE_RE = re.compile(r"\s+|\#[^\n]*")
+_TOKEN_RE = re.compile(  # whitespace and comments, then a token or none
+    rf"""(?:{_SPACE_RE.pattern})*
+    ( P>= | P< | -> | p[0-9]+(?![A-Za-z0-9_]) | x[0-9]+(?![A-Za-z0-9_])
+    | [A-Za-z_][A-Za-z0-9_]* | \d+ | [~&():.+!/|] )?""", re.VERBOSE)
 
 
-def _tokenize(text):
-    """(kind, text, position, value) tuples; value is the int a numeral,
-    proposition or variable token reads as, else None."""
-    tokens = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
+class _Error(Exception):
+    """A parse failure: (message, index of the token it is reported at)."""
+
+
+def _fail(text, message=None, index=0):
+    """Raise the ParseError for text, found by rescanning it: its first stray
+    character or numeral past the int-string limit, else message at the
+    index-th token (the text's end past the last); else return."""
+    pos = len(text)
+    for n, m in enumerate(_TOKEN_RE.finditer(text)):
+        tok = m.group(1)
+        if tok is None:  # a stray character, or the end of the text
+            if m.end() < len(text):
+                raise ParseError(f"unexpected character {text[m.end()]!r}", m.end())
             break
-        kind = m.lastgroup
-        if kind != "ws":
-            val = m.group()
-            value = None
-            if kind == "sym":
-                kind = val
-            elif kind in ("num", "prop", "var"):
-                try:
-                    value = int(val.lstrip("px"))
-                except ValueError:  # longer than the interpreter's int-string limit
-                    raise ParseError("numeral too long", pos) from None
-            tokens.append((kind, val, pos, value))
-        pos = m.end()
-    if pos < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    tokens.append(("eof", "", len(text), None))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def fail(self, message):
-        tok = self.tokens[self.i]
-        raise ParseError(message, tok[2])
-
-    def chain(self, operand, symbol, join):
-        """operand (symbol operand)*, joined to the left."""
-        tokens = self.tokens
-        left = operand()
-        while tokens[self.i][0] == symbol:
-            self.i += 1
-            left = join(left, operand())
-        return left
-
-    # terms
-
-    def term(self):
-        return self.chain(self.tfactor, "+", Sum)
-
-    def tfactor(self):
-        return self.chain(self.tprim, ".", App)
-
-    def tprim(self):
-        kind = self.peek()
-        if kind == "!":
-            self.next()
-            return Bang(self.tprim())
-        if kind == "const":
-            return Const(self.next()[1])
-        if kind == "var":
-            return Var(self.next()[3])
-        if kind == "(":
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
-        self.fail("expected a term")
-
-    # justification formulas (with '->' and '|' sugar)
-
-    def jformula(self):
-        left = self.jor()
-        if self.peek() == "arrow":
-            self.next()
-            right = self.jformula()
-            return jimp(left, right)
-        return left
-
-    def jor(self):
-        return self.chain(self.jand, "|", lambda f, g: JNot(JAnd(JNot(f), JNot(g))))
-
-    def jand(self):
-        return self.chain(self.jfactor, "&", JAnd)
-
-    def jfactor(self):
-        kind = self.peek()
-        if kind == "~":
-            self.next()
-            return JNot(self.jfactor())
-        if kind == "prop":
-            return Prop(self.next()[3])
-        if kind in ("const", "var", "!"):
-            t = self.term()
-            self.expect(":")
-            return Assert(t, self.jfactor())
-        if kind == "(":
-            # '(' opens either a parenthesized formula or a term before ':'
-            save = self.i
+        digits = tok[1:] if tok[0] in "px" else tok
+        if digits.isdecimal():
             try:
-                t = self.term()
-                self.expect(":")
-                return Assert(t, self.jfactor())
-            except ParseError:
-                self.i = save
-            self.next()
-            f = self.jformula()
-            self.expect(")")
-            return f
-        self.fail("expected a justification formula")
+                int(digits)
+            except ValueError:
+                raise ParseError("numeral too long", m.start(1)) from None
+        if n == index:
+            pos = m.start(1)
+    if message is not None:
+        raise ParseError(message, pos) from None
 
-    # probability formulas
 
-    def pformula(self):
-        return self.chain(self.pfactor, "&", PAnd)
+def _expect(toks, i, kind):
+    """i + 1, once toks[i] is kind: a symbol, "num", or "" for the end."""
+    if toks[i] != kind and not (kind == "num" and toks[i].isdecimal()):
+        raise _Error(f"expected {kind or 'eof'!r}, found {toks[i]!r}", i)
+    return i + 1
 
-    def pfactor(self):
-        kind = self.peek()
-        if kind == "~":
-            self.next()
-            return PNot(self.pfactor())
-        if kind == "(":
-            self.next()
-            f = self.pformula()
-            self.expect(")")
-            return f
-        if kind in ("pge", "plt"):
-            self.next()
-            f = AtLeast(self.rational(), self.jfactor())
-            return f if kind == "pge" else PNot(f)
-        self.fail("expected a probability formula")
 
-    def rational(self):
-        tok = self.expect("num")
-        num = tok[3]
-        den = 1
-        if self.peek() == "/":
-            self.next()
-            den = self.expect("num")[3]
-            if den == 0:
-                raise ParseError("zero denominator", tok[2])
-        if num > den:
-            raise ParseError(f"threshold {num}/{den} outside [0,1]", tok[2])
-        return Fraction(num, den)
+def _term(toks, i):
+    """tprim ('.' tprim)*, with '+' between such chains."""
+    t = None
+    while True:
+        u, i = _tprim(toks, i)
+        while toks[i] == ".":
+            v, i = _tprim(toks, i + 1)
+            u = App(u, v)
+        t = u if t is None else Sum(t, u)
+        if toks[i] != "+":
+            return t, i
+        i += 1
+
+
+def _tprim(toks, i):
+    tok = toks[i]
+    if tok == "!":
+        t, i = _tprim(toks, i + 1)
+        return Bang(t), i
+    if tok == "(":
+        t, i = _term(toks, i + 1)
+        return t, _expect(toks, i, ")")
+    if tok.isidentifier() and not (tok[0] == "p" and tok[1:].isdecimal()):
+        if tok[0] == "x" and tok[1:].isdecimal():
+            return Var(int(tok[1:])), i + 1
+        return Const(tok), i + 1
+    raise _Error("expected a term", i)
+
+
+def _assertion_at(toks, i):
+    """Of the run of '(' from toks[i], the one from which the term tokens
+    are balanced and end at ':', as every term before ':' is; else -1."""
+    k = i
+    while toks[k] == "(":
+        k += 1
+    j, depth, low = k, 0, 0  # depth after toks[k:j], and its least value
+    while (tok := toks[j]) in ("(", ")", ".", "+", "!") or (
+        tok.isidentifier() and not (tok[0] == "p" and tok[1:].isdecimal())
+    ):
+        depth += (tok == "(") - (tok == ")")
+        low = min(low, depth)
+        j += 1
+    return k + depth if tok == ":" and low == depth and i - k <= depth < 0 else -1
+
+
+def _jformula(toks, i, ahead=None):
+    """jfactor ('&' jfactor)*, with '|' between such chains, then ('->' jformula)?"""
+    f = None
+    while True:
+        g, i = _jfactor(toks, i, ahead if f is None else None)
+        while toks[i] == "&":
+            h, i = _jfactor(toks, i + 1)
+            g = JAnd(g, h)
+        f = g if f is None else JNot(JAnd(JNot(f), JNot(g)))
+        if toks[i] != "|":
+            break
+        i += 1
+    if toks[i] == "->":
+        g, i = _jformula(toks, i + 1)
+        return jimp(f, g), i
+    return f, i
+
+
+def _jfactor(toks, i, ahead=None):
+    """ahead: ``_assertion_at`` of the run of '(' holding toks[i], once scanned."""
+    tok = toks[i]
+    if tok == "~":
+        f, i = _jfactor(toks, i + 1)
+        return JNot(f), i
+    if tok.isidentifier() and tok[0] == "p" and tok[1:].isdecimal():
+        return Prop(int(tok[1:])), i + 1
+    if tok == "(" and ahead is None:  # a term before ':', or a parenthesized formula
+        ahead = _assertion_at(toks, i)
+    if tok.isidentifier() or tok == "!" or i == ahead:
+        try:
+            t, j = _term(toks, i)
+            f, j = _jfactor(toks, _expect(toks, j, ":"))
+            return Assert(t, f), j
+        except _Error:
+            if tok != "(":  # else the term read, but not the body after ':'
+                raise
+    if tok == "(":
+        f, i = _jformula(toks, i + 1, ahead)
+        return f, _expect(toks, i, ")")
+    raise _Error("expected a justification formula", i)
+
+
+def _pformula(toks, i):
+    f, i = _pfactor(toks, i)
+    while toks[i] == "&":
+        g, i = _pfactor(toks, i + 1)
+        f = PAnd(f, g)
+    return f, i
+
+
+def _pfactor(toks, i):
+    tok = toks[i]
+    if tok == "~":
+        f, i = _pfactor(toks, i + 1)
+        return PNot(f), i
+    if tok == "(":
+        f, i = _pformula(toks, i + 1)
+        return f, _expect(toks, i, ")")
+    if tok != "P>=" and tok != "P<":
+        raise _Error("expected a probability formula", i)
+    # the threshold, num ('/' num)?, whose value is checked at its first num
+    j = _expect(toks, i + 1, "num")
+    if toks[j] == "/":
+        j = _expect(toks, j + 1, "num")
+    num, den = int(toks[i + 1]), int(toks[j - 1]) if j > i + 2 else 1
+    if den == 0:
+        raise _Error("zero denominator", i + 1)
+    if num > den:
+        raise _Error(f"threshold {num}/{den} outside [0,1]", i + 1)
+    f, j = _jfactor(toks, j)
+    f = AtLeast(Fraction(num, den), f)
+    return (f if tok == "P>=" else PNot(f)), j
 
 
 def _parse(text, rule):
-    p = _Parser(text)
-    tree = rule(p)
-    p.expect("eof")
-    return tree
+    """Parse the whole text by rule over the tokens of one findall: a stray
+    character shows as a shortfall of their total length against the text
+    without spaces and comments.  '(' tries a term where ``_assertion_at`` says."""
+    toks = _TOKEN_RE.findall(text)
+    if len("".join(toks)) != len(_SPACE_RE.sub("", text)):
+        _fail(text)
+    try:
+        tree, i = rule(toks, 0)
+        _expect(toks, i, "")
+        return tree
+    except _Error as exc:
+        _fail(text, *exc.args)
+    except (ValueError, RecursionError):  # a numeral past the int-string limit, or deep nesting
+        _fail(text)
+        raise
 
 
 def parse_pformula(text: str) -> PFormula:
-    return _parse(text, _Parser.pformula)
+    return _parse(text, _pformula)
 
 
 def parse_jformula(text: str) -> JFormula:
-    return _parse(text, _Parser.jformula)
+    return _parse(text, _jformula)
 
 
 def parse_term(text: str) -> Term:
-    return _parse(text, _Parser.term)
+    return _parse(text, _term)
 
 
 # --- structural measures ---

@@ -2,14 +2,16 @@
 
 Nothing here reuses the solution paths it checks: feasibility is decided
 by Fourier-Motzkin elimination, formula evaluation by exhaustive truth
-tables, and atom satisfiability by bounded forward saturation of the
-evidence closure.
+tables, atom satisfiability by bounded forward saturation of the
+evidence closure, and parsing by the earlier tokenizer and parser, which
+backtrack by exception.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from pjsat.cspec import FMeta, TMeta, scheme_named
@@ -22,10 +24,13 @@ from pjsat.syntax import (
     Const,
     JAnd,
     JNot,
+    PAnd,
     PNot,
+    ParseError,
     Prop,
     Sum,
     Var,
+    jimp,
     preorder,
     subf,
 )
@@ -287,3 +292,193 @@ def jsat_oracle(atom, cs, rounds=2) -> bool:
             break
         pool_f = new_pool
     return not any(g in ev[s] for s, g in neg)
+
+
+# --- reference parser ---
+# The tokenizer and parser that pjsat.syntax replaced, kept verbatim: one
+# (kind, text, position, value) tuple per token, and a '(' in a
+# justification factor that first tries a term and backtracks on failure.
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<pge>P>=)
+  | (?P<plt>P<)
+  | (?P<arrow>->)
+  | (?P<prop>p[0-9]+)(?![A-Za-z0-9_])
+  | (?P<var>x[0-9]+)(?![A-Za-z0-9_])
+  | (?P<const>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<num>\d+)
+  | (?P<sym>[~&():.+!/|])
+    """,
+    re.VERBOSE,
+)
+
+
+def _tokenize(text):
+    """(kind, text, position, value) tuples; value is the int a numeral,
+    proposition or variable token reads as, else None."""
+    tokens = []
+    pos = 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        if kind != "ws":
+            val = m.group()
+            value = None
+            if kind == "sym":
+                kind = val
+            elif kind in ("num", "prop", "var"):
+                try:
+                    value = int(val.lstrip("px"))
+                except ValueError:  # longer than the interpreter's int-string limit
+                    raise ParseError("numeral too long", pos) from None
+            tokens.append((kind, val, pos, value))
+        pos = m.end()
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens.append(("eof", "", len(text), None))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def fail(self, message):
+        tok = self.tokens[self.i]
+        raise ParseError(message, tok[2])
+
+    def chain(self, operand, symbol, join):
+        """operand (symbol operand)*, joined to the left."""
+        tokens = self.tokens
+        left = operand()
+        while tokens[self.i][0] == symbol:
+            self.i += 1
+            left = join(left, operand())
+        return left
+
+    # terms
+
+    def term(self):
+        return self.chain(self.tfactor, "+", Sum)
+
+    def tfactor(self):
+        return self.chain(self.tprim, ".", App)
+
+    def tprim(self):
+        kind = self.peek()
+        if kind == "!":
+            self.next()
+            return Bang(self.tprim())
+        if kind == "const":
+            return Const(self.next()[1])
+        if kind == "var":
+            return Var(self.next()[3])
+        if kind == "(":
+            self.next()
+            t = self.term()
+            self.expect(")")
+            return t
+        self.fail("expected a term")
+
+    # justification formulas (with '->' and '|' sugar)
+
+    def jformula(self):
+        left = self.jor()
+        if self.peek() == "arrow":
+            self.next()
+            right = self.jformula()
+            return jimp(left, right)
+        return left
+
+    def jor(self):
+        return self.chain(self.jand, "|", lambda f, g: JNot(JAnd(JNot(f), JNot(g))))
+
+    def jand(self):
+        return self.chain(self.jfactor, "&", JAnd)
+
+    def jfactor(self):
+        kind = self.peek()
+        if kind == "~":
+            self.next()
+            return JNot(self.jfactor())
+        if kind == "prop":
+            return Prop(self.next()[3])
+        if kind in ("const", "var", "!"):
+            t = self.term()
+            self.expect(":")
+            return Assert(t, self.jfactor())
+        if kind == "(":
+            # '(' opens either a parenthesized formula or a term before ':'
+            save = self.i
+            try:
+                t = self.term()
+                self.expect(":")
+                return Assert(t, self.jfactor())
+            except ParseError:
+                self.i = save
+            self.next()
+            f = self.jformula()
+            self.expect(")")
+            return f
+        self.fail("expected a justification formula")
+
+    # probability formulas
+
+    def pformula(self):
+        return self.chain(self.pfactor, "&", PAnd)
+
+    def pfactor(self):
+        kind = self.peek()
+        if kind == "~":
+            self.next()
+            return PNot(self.pfactor())
+        if kind == "(":
+            self.next()
+            f = self.pformula()
+            self.expect(")")
+            return f
+        if kind in ("pge", "plt"):
+            self.next()
+            f = AtLeast(self.rational(), self.jfactor())
+            return f if kind == "pge" else PNot(f)
+        self.fail("expected a probability formula")
+
+    def rational(self):
+        tok = self.expect("num")
+        num = tok[3]
+        den = 1
+        if self.peek() == "/":
+            self.next()
+            den = self.expect("num")[3]
+            if den == 0:
+                raise ParseError("zero denominator", tok[2])
+        if num > den:
+            raise ParseError(f"threshold {num}/{den} outside [0,1]", tok[2])
+        return Fraction(num, den)
+
+
+def ref_parse(text, rule):
+    """Parse text whole by the reference parser's rule: "pformula",
+    "jformula" or "term"."""
+    p = _Parser(text)
+    tree = getattr(p, rule)()
+    p.expect("eof")
+    return tree

@@ -1,7 +1,10 @@
 import dataclasses
+import importlib
 import itertools
+import pathlib
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,8 +45,18 @@ from pjsat.syntax import (
     within_cap,
 )
 
-from _gen import rand_atom_for, rand_jformula, rand_pformula
-from _oracles import p_occurrences, tt_eval
+from _gen import rand_atom_for, rand_jformula, rand_pformula, rand_term
+from _oracles import _tokenize as ref_tokenize, p_occurrences, ref_parse, tt_eval
+
+
+def _outcome(parse, text):
+    """The tree, the error's (message, pos), or "recursion"."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.args[0], exc.pos
+    except RecursionError:
+        return "recursion"
 
 
 class TestParsing:
@@ -111,6 +124,90 @@ class TestParsing:
         assert parse_jformula("p1 & p2 & p3") == JAnd(JAnd(p1, p2), p3)
         assert parse_jformula("p1 | p2 | p3") == jor(jor(p1, p2), p3)
         assert parse_pformula("P>=1 p1 & P>=1 p2 & P>=1 p3") == PAnd(PAnd(q1, q2), q3)
+
+    def test_matches_reference_parser(self, monkeypatch):
+        # workload texts of seeds 1-3, printed random formulas, their
+        # single-token mutants and long numerals, through all three entry
+        # points of both parsers
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        texts = {i.text for make in workloads.WORKLOADS.values() for seed in (1, 2, 3)
+                 for i in make(seed)}
+        rng = random.Random(23)
+        texts = sorted(texts) + [pformula_str(rand_pformula(rng)) for _ in range(100)]
+        texts += [jformula_str(rand_jformula(rng)) for _ in range(100)]
+        texts += [term_str(rand_term(rng)) for _ in range(100)]
+        strays = ["$", " $", "(", ")", ":", "~", "&", "#c\n"]
+        inputs = list(texts)
+        for n, t in enumerate(texts):
+            spans = [(pos, pos + len(tok)) for _, tok, pos, _ in ref_tokenize(t)[:-1]]
+            (a, b), (c, _) = rng.choice(spans), rng.choice(spans)
+            inputs.append(t[:a] + t[b:])  # deleted
+            inputs.append(t[:b] + t[a:b] + t[b:])  # duplicated
+            if c < a:  # moved
+                inputs.append(t[:c] + t[a:b] + " " + t[c:a] + t[b:])
+            inputs.append(t[:a] + strays[n % len(strays)] + t[a:])
+        digits = "7" * 5000
+        inputs += [f"P>=1/{digits} p1", f"P>=1/2 p{digits}", f"x{digits}", f"P>=1/2 $ {digits}",
+                   f"P>= p1 & P>=1/{digits} p2", "(" * 3000 + f"P>=1/{digits} p1"]
+        errors = 0
+        for text in inputs:
+            for parse, rule in ((parse_pformula, "pformula"), (parse_jformula, "jformula"),
+                                (parse_term, "term")):
+                got = _outcome(parse, text)
+                assert got == _outcome(lambda s: ref_parse(s, rule), text), (rule, text)
+                errors += isinstance(got, tuple)
+        assert errors > 1000
+
+    @pytest.mark.parametrize("text", [
+        "P>=1/2 s" + "a" * 20000 + "$",
+        " " * 20000 + "$",
+        "P>=1/2 " + "(" * 3000 + "$",
+    ])
+    def test_linear_time_before_a_stray_character(self, text):
+        # a pattern that matched the whole text as (whitespace token)*
+        # would backtrack exponentially here before failing
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=r"unexpected character '\$'"):
+            parse_pformula(text)
+        assert time.perf_counter() - start < 1
+
+    def test_linear_time_on_an_unclosed_run(self):
+        # the lookahead at '(' scans the run once, not once per nesting level
+        start = time.perf_counter()
+        with pytest.raises(RecursionError):
+            parse_pformula("P>=1/2 " + "(" * 300000)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("parse, text, message, pos", [
+        (parse_pformula, "P>=1/2 p1 $", "unexpected character '$'", 10),
+        (parse_jformula, "(s.t):)", "expected ':', found ')'", 4),
+        (parse_pformula, "P>=1/2 (p1 & p2", "expected ')', found ''", 15),
+        (parse_term, "(a.b", "expected ')', found ''", 4),
+        (parse_pformula, "P>=1/0 p1", "zero denominator", 3),
+        (parse_pformula, "P>=1/2 p1 &", "expected a probability formula", 11),
+        (parse_jformula, "p1 & p2 &", "expected a justification formula", 9),
+    ])
+    def test_error_lines(self, parse, text, message, pos):
+        # recorded from the earlier parser, which backtracked by exception
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"{message} (at position {pos})"
+        assert exc.value.pos == pos
+
+    def test_nested_term_groups_before_colon_are_an_assertion(self):
+        f = Assert(App(App(Const("s"), Const("t")), Const("u")), Prop(1))
+        assert parse_jformula("((s.t)).u:p1") == f
+        assert parse_pformula("P>=1/2 ((s.t)).u:p1") == AtLeast(Fraction(1, 2), f)
+        # a run of '(' is scanned once; a factor after '|' starts a run of its own
+        assert parse_jformula("((p1) | (s):p2)") == parse_jformula("p1 | s:p2")
+
+    def test_threshold_range_checked_on_construction(self):
+        for t in (Fraction(3, 2), Fraction(-1, 2), 2):
+            with pytest.raises(ValueError, match=rf"^threshold {t} outside \[0,1\]$"):
+                AtLeast(t, Prop(1))
+        for t in (0, 1, Fraction(1, 3)):
+            assert AtLeast(t, Prop(1)).threshold == t
 
 
 def _terms(depth):
