@@ -47,7 +47,6 @@ from .syntax import (
     JAnd,
     JNot,
     PFormula,
-    PNot,
     ParseError,
     Prop,
     assignments,
@@ -240,7 +239,7 @@ def solve_sat(
 
 def valid(f: PFormula, cs: ConstantSpec, cap: int = DEFAULT_ATOM_CAP) -> bool:
     """True iff the negation is unsatisfiable."""
-    return solve_sat(PNot(f), cs, cap) is None
+    return solve_sat(JNot(f), cs, cap) is None
 
 
 def lift_to_p1(alpha) -> PFormula:

@@ -6,7 +6,9 @@ Three layers of syntax:
     and the proof-checker prefix (!);
   * justification formulas: propositions p<i>, negation, conjunction and
     assertions ``t : body``;
-  * probability formulas: ``P>=s body``, negation and conjunction.
+  * probability formulas: ``P>=s body`` under the same ``~`` and ``&``
+    nodes, ``JNot`` and ``JAnd``; the probability-level names of those
+    two classes are aliases, kept for importers.
 
 All nodes are frozen dataclasses, so values are hashable and shareable;
 each composite node computes its hash once and keeps it (``_node``).
@@ -147,18 +149,8 @@ class AtLeast:
             raise ValueError(f"threshold {t} outside [0,1]")
 
 
-@_node
-class PNot:
-    body: "PFormula"
-
-
-@_node
-class PAnd:
-    left: "PFormula"
-    right: "PFormula"
-
-
-PFormula = AtLeast | PNot | PAnd
+PNot, PAnd = JNot, JAnd
+PFormula = AtLeast | JNot | JAnd
 
 
 def jimp(a, b):
@@ -199,13 +191,13 @@ def jformula_str(f, prec: int = 0) -> str:
     # precedence: 0 = conjunction, 1 = factor
     if isinstance(f, Prop):
         return f"p{f.index}"
-    if isinstance(f, (JNot, PNot)):
+    if isinstance(f, JNot):
         return "~" + jformula_str(f.body, 1)
     if isinstance(f, Assert):
         return f"{term_str(f.term)}:{jformula_str(f.body, 1)}"
     if isinstance(f, AtLeast):
         return f"P>={rat_str(f.threshold)} {jformula_str(f.body, 1)}"
-    if isinstance(f, (JAnd, PAnd)):
+    if isinstance(f, JAnd):
         s = f"{jformula_str(f.left, 0)} & {jformula_str(f.right, 1)}"
         return f"({s})" if prec > 0 else s
     raise TypeError(f"not a formula: {f!r}")
@@ -348,7 +340,7 @@ def _pformula(toks, i):
     f, i = _pfactor(toks, i)
     while toks[i] == "&":
         g, i = _pfactor(toks, i + 1)
-        f = PAnd(f, g)
+        f = JAnd(f, g)
     return f, i
 
 
@@ -356,7 +348,7 @@ def _pfactor(toks, i):
     tok = toks[i]
     if tok == "~":
         f, i = _pfactor(toks, i + 1)
-        return PNot(f), i
+        return JNot(f), i
     if tok == "(":
         f, i = _pformula(toks, i + 1)
         return f, _expect(toks, i, ")")
@@ -373,7 +365,7 @@ def _pfactor(toks, i):
         raise _Error(f"threshold {num}/{den} outside [0,1]", i + 1)
     f, j = _jfactor(toks, j)
     f = AtLeast(Fraction(num, den), f)
-    return (f if tok == "P>=" else PNot(f)), j
+    return (f if tok == "P>=" else JNot(f)), j
 
 
 def _parse(text, rule):
@@ -414,9 +406,9 @@ def preorder(f):
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, (JAnd, PAnd)):
+        if isinstance(g, JAnd):
             stack += (g.right, g.left)
-        elif isinstance(g, (JNot, PNot, Assert, AtLeast)):
+        elif isinstance(g, (JNot, Assert, AtLeast)):
             stack.append(g.body)
         elif not isinstance(g, Prop):
             raise TypeError(f"not a formula: {g!r}")
@@ -430,18 +422,18 @@ def subf(f):
 
 def truth_test(f, index):
     """Compile the Boolean structure of f into a predicate over a sequence
-    of truth values.  Negation and conjunction of either language are the
-    connectives; any other node is a leaf, read at position ``index[node]``
-    (a KeyError when the leaf is not in ``index``).
+    of truth values.  ``JNot`` and ``JAnd``, the connectives of both
+    languages, are compiled; any other node is a leaf, read at position
+    ``index[node]`` (a KeyError when the leaf is not in ``index``).
 
     The predicate is three-valued (Kleene): a leaf read as None is
     unknown, ``~x`` is unknown when x is, and ``x & y`` is False when
     either side is False, True when both are, and unknown (None)
     otherwise.  On a sequence of bools it is the two-valued test."""
-    if isinstance(f, (JNot, PNot)):
+    if isinstance(f, JNot):
         body = truth_test(f.body, index)
         return lambda values: None if (v := body(values)) is None else not v
-    if isinstance(f, (JAnd, PAnd)):
+    if isinstance(f, JAnd):
         left, right = truth_test(f.left, index), truth_test(f.right, index)
         return lambda values: (
             False
@@ -557,7 +549,8 @@ def atoms_of(f, cap: int = DEFAULT_ATOM_CAP):
 def p_level(f: PFormula):
     """The distinct AtLeast occurrences of f in first-occurrence order, and
     ``size_p(f)``: 2 per literal occurrence, 1 per ~ and &.  One iterative
-    walk over the probability level, which does not enter the bodies."""
+    walk over the ``JNot`` and ``JAnd`` above the AtLeast leaves, which
+    does not enter the bodies; any other node raises TypeError."""
     occs = {}
     size = 0
     stack = [f]
@@ -567,9 +560,9 @@ def p_level(f: PFormula):
         if isinstance(g, AtLeast):
             occs[g] = None
             size += 1
-        elif isinstance(g, PAnd):
+        elif isinstance(g, JAnd):
             stack += (g.right, g.left)
-        elif isinstance(g, PNot):
+        elif isinstance(g, JNot):
             stack.append(g.body)
         else:
             raise TypeError(f"not a probability formula: {g!r}")

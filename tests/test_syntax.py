@@ -209,6 +209,18 @@ class TestParsing:
         for t in (0, 1, Fraction(1, 3)):
             assert AtLeast(t, Prop(1)).threshold == t
 
+    def test_probability_level_shares_the_connectives(self):
+        # P-level ~ and & are the justification nodes; the P-level names alias them
+        assert PNot is JNot and PAnd is JAnd
+        p1, p2 = Prop(1), Prop(2)
+        f = JNot(JAnd(AtLeast(Fraction(1, 2), p1), JNot(AtLeast(Fraction(1, 3), JAnd(p1, p2)))))
+        assert parse_pformula("~(P>=1/2 p1 & P<1/3 (p1 & p2))") == f
+        assert parse_pformula(pformula_str(f)) == f
+        # p_level walks only the connectives above AtLeast leaves
+        for g in (JAnd(Prop(1), Prop(2)), Prop(1)):
+            with pytest.raises(TypeError, match="not a probability formula"):
+                p_level(g)
+
 
 def _terms(depth):
     leaf = st.one_of(
@@ -435,6 +447,22 @@ class TestSizes:
             assert norm(f) == 3
             assert weight_size_bound(f) == bound
         assert len(p_level(chain)[0]) == 7
+
+    def test_measures_match_the_gate_checker(self, monkeypatch):
+        # bench/checks.py walks the P-level by its own PNot/PAnd names, so
+        # its measures agree with these only while those alias the J nodes
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+        checks = importlib.import_module("checks")
+        workloads = importlib.import_module("workloads")
+        count = 0
+        for make in workloads.WORKLOADS.values():
+            for seed in (1, 2, 3):
+                for instance in make(seed):
+                    f = parse_pformula(instance.text)
+                    assert checks.size_p(f) == size_p(f), instance.name
+                    assert checks.weight_bound(f) == weight_size_bound(f), instance.name
+                    count += 1
+        assert count == 1167
 
 
 class TestAtomDistinctness:
