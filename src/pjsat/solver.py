@@ -151,9 +151,10 @@ def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec, *, form=None
     P-level of ``form``, f's compiled form under cs (built here when not
     given), which every other check reads too.  ``check_model`` runs
     first, so a model whose worlds are not all over its basis raises
-    ``BasisMismatchError`` before any world is J-checked.  The worlds are J-checked by one filter over the model's
-    basis: the form's own when the model is over the form's basis,
-    otherwise one ``jsat_test(model.basis, cs)``.
+    ``BasisMismatchError`` before any world is J-checked.  The worlds are
+    J-checked by one filter over the model's basis: the form's own when
+    the model is over the form's basis, otherwise one
+    ``jsat_test(model.basis, cs)``.
     """
     if form is None:
         form = _Form(f, cs)

@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 from collections import Counter
@@ -118,14 +119,19 @@ def _ref_run_simplex(tableau, basis, enterable=None):
         _ref_pivot(tableau, basis, leave, enter)
 
 
-def ref_presolve(rows):
+def ref_presolve(rows, seen=None):
     """The rows that become tableau rows, in order, or None when a row the
-    equalities decide fails: linrat's three presolve rules, written here
-    on their own.  An equality stays.  An all-zero inequality is compared
-    with 0, and one whose coefficients equal some equality's with the
-    first such equality's rhs; it goes when that holds.  Any other
-    inequality stands for every inequality with its coefficients and
-    relation, in the first one's place, as their tightest."""
+    equalities decide fails or two kept rows contradict: linrat's four
+    presolve rules, written here on their own.  An equality stays.  An
+    all-zero inequality is compared with 0, and one whose coefficients
+    equal some equality's with the first such equality's rhs; it goes when
+    that holds.  Any other inequality stands for every inequality with its
+    coefficients and relation, in the first one's place, as their
+    tightest.  Then every ordered pair of distinct kept inequalities is
+    tried against every non-zero coefficient vector's first equality, and
+    the system is decided when the pair bounds one vector, or two that sum
+    to the equality's, from opposite sides; seen counts those decisions
+    under "bound_pair"."""
     out = []
     for i, row in enumerate(rows):
         if row.rel is Rel.EQ:
@@ -142,17 +148,46 @@ def ref_presolve(rows):
         if group[0] == i:
             tightest = (max if row.rel is Rel.GE else min)(rows[j].rhs for j in group)
             out.append(Row(row.coeffs, row.rel, tightest))
+    firsts = {}
+    for r in rows:
+        if r.rel is Rel.EQ and any(c != 0 for c in r.coeffs):
+            firsts.setdefault(r.coeffs, r.rhs)
+    ineqs = [r for r in out if r.rel is not Rel.EQ]
+    if any(ref_clash(x, y, firsts) for x, y in itertools.permutations(ineqs, 2)):
+        if seen is not None:
+            seen["bound_pair"] += 1
+        return None
     return out
+
+
+def ref_clash(x, y, firsts):
+    """Whether the inequalities x and y contradict each other, alone or
+    beside an equality q . v = e, e = firsts[q]: x bounds its vector from
+    below and y the same one from above, or both bound two vectors that
+    sum to q from the same side, beyond what e leaves them."""
+    if x.coeffs == y.coeffs and x.rel is Rel.GE and y.rel is not Rel.GE:
+        return not HOLDS[y.rel](x.rhs, y.rhs)
+    for q, e in firsts.items():
+        if any(cx + cy != cq for cx, cy, cq in zip(x.coeffs, y.coeffs, q)):
+            continue
+        total = x.rhs + y.rhs
+        if x.rel is Rel.GE and y.rel is Rel.GE and total > e:
+            return True
+        if x.rel is not Rel.GE and y.rel is not Rel.GE:
+            if total <= e if Rel.LT in (x.rel, y.rel) else total < e:
+                return True
+    return False
 
 
 def ref_feasible(system: LinearSystem, seen=None):
     """linrat.feasible on Fraction entries.  When seen is a Counter, it
     counts the calls whose presolve drops a row or decides the system,
-    under "dropped", and those whose phase 2 ends with an artificial
+    under "dropped", those whose presolve decides it by a pair of bounds,
+    under "bound_pair", and those whose phase 2 ends with an artificial
     still basic, under "artificial_basic"."""
     n = system.var_count
     one, zero = Fraction(1), Fraction(0)
-    rows = ref_presolve(system.rows)
+    rows = ref_presolve(system.rows, seen)
     if seen is not None:
         seen["dropped"] += rows is None or len(rows) < len(system.rows)
     if rows is None:
@@ -362,8 +397,9 @@ class TestFeasible:
         # simplex: the integer tableau takes the reference's path, Dantzig
         # pricing with a Bland pivot after each degenerate one, on the
         # rows that the reference's own presolve keeps.  Some draws drop
-        # rows, and some phase-2 runs end with an artificial basic at 0,
-        # so the paths are compared where the phase-1 tableau carries one
+        # rows, some are decided by a pair of bounds before any tableau,
+        # and some phase-2 runs end with an artificial basic at 0, so the
+        # paths are compared where the phase-1 tableau carries one
         # through.
         path, ref_path = [], []
         seen = Counter()
@@ -391,6 +427,7 @@ class TestFeasible:
         assert 600 < seen_feasible < 2400
         assert seen["artificial_basic"] > 0
         assert seen["dropped"] > 300
+        assert seen["bound_pair"] > 40
 
     def test_presolve_agrees_with_fourier_motzkin(self):
         # Repeated bounds, rows with an equality's coefficients and all-zero
@@ -428,6 +465,84 @@ class TestFeasible:
         assert feasible(sys_of([([1, 1], Rel.EQ, 1), ([1, 1], Rel.LT, 1)], 2)) is None
         assert feasible(sys_of([([0, 0], Rel.GE, F(1, 2))], 2)) is None
         assert pivots == []
+
+    def test_bound_pairs_fail_before_any_pivot(self, monkeypatch):
+        # two kept bounds that contradict, on one vector or on a vector and
+        # its complement under the total row, end the call before a
+        # tableau is built; near misses still get a solution
+        pivots = []
+        pivot = linrat._pivot
+
+        def recording(*step):
+            pivots.append(step)
+            pivot(*step)
+
+        monkeypatch.setattr(linrat, "_pivot", recording)
+        total = ([1, 1, 1], Rel.EQ, 1)
+        refuted = [
+            # direct: a >= s against a < u with s >= u, and a <= u with s > u
+            [total, ([1, 0, 1], Rel.GE, F(1, 2)), ([1, 0, 1], Rel.LT, F(1, 2))],
+            [([1, 2], Rel.GE, 3), ([1, 2], Rel.LE, F(5, 2))],
+            # P>=1 ~p against P>=1/2 p: GE + GE on complements, s + t > e
+            [([1, 1], Rel.EQ, 1), ([0, 1], Rel.GE, 1), ([1, 0], Rel.GE, F(1, 2))],
+            [total, ([1, 0, 0], Rel.GE, F(1, 2)), ([0, 1, 1], Rel.GE, F(2, 3))],
+            # LT + LT and LT + LE on complements, s + t <= e
+            [total, ([1, 0, 1], Rel.LT, F(1, 2)), ([0, 1, 0], Rel.LT, F(1, 2))],
+            [total, ([0, 1, 0], Rel.LE, F(1, 3)), ([1, 0, 1], Rel.LT, F(2, 3))],
+            # LE + LE on complements, s + t < e
+            [total, ([0, 0, 1], Rel.LE, F(1, 3)), ([1, 1, 0], Rel.LE, F(1, 2))],
+        ]
+        for rows in refuted:
+            s = sys_of(rows, len(rows[0][0]))
+            assert feasible(s) is None
+            assert not fm_feasible(s)
+        assert pivots == []
+        near = [
+            [total, ([1, 0, 0], Rel.GE, F(1, 3)), ([0, 1, 1], Rel.GE, F(2, 3))],
+            [total, ([1, 0, 1], Rel.LT, F(1, 2)), ([0, 1, 0], Rel.LT, F(2, 3))],
+            [total, ([0, 0, 1], Rel.LE, F(1, 3)), ([1, 1, 0], Rel.LE, F(2, 3))],
+            [total, ([1, 0, 1], Rel.GE, F(1, 2)), ([1, 0, 1], Rel.LE, F(1, 2))],
+        ]
+        for rows in near:
+            s = sys_of(rows, 3)
+            sol = feasible(s)
+            assert sol is not None and ref_satisfies(s, sol.values)
+
+    def test_bound_pairs_agree_with_fourier_motzkin(self, monkeypatch):
+        # columns that keep or zero each coefficient of an equality's q,
+        # bounded beside it with their complements under it, as the
+        # solver's 0/1 literal bodies and their negations are beside the
+        # total row, which most draws use as q
+        pivots = []
+        pivot = linrat._pivot
+
+        def recording(*step):
+            pivots.append(step)
+            pivot(*step)
+
+        monkeypatch.setattr(linrat, "_pivot", recording)
+        rng = random.Random(89)
+        seen = Counter()
+        thresholds = [F(k, 6) for k in range(7)]
+        for _ in range(2400):
+            n = rng.randint(2, 4)
+            q = (1,) * n if rng.random() < 0.7 else tuple(rng.randint(1, 2) for _ in range(n))
+            rows = [(q, Rel.EQ, rng.choice((1, 1, 2)))]
+            for _ in range(rng.randint(2, 5)):
+                a = tuple(c * rng.randint(0, 1) for c in q)
+                if rng.random() < 0.5:
+                    a = tuple(cq - c for cq, c in zip(q, a))
+                rel = rng.choice((Rel.GE, Rel.GE, Rel.LT, Rel.LE))
+                rows.append((a, rel, rng.choice(thresholds)))
+            rng.shuffle(rows)
+            s = sys_of(rows, n)
+            pivots.clear()
+            sol = feasible(s)
+            assert (sol is not None) == fm_feasible(s)
+            assert sol is None or ref_satisfies(s, sol.values)
+            seen["feasible"] += sol is not None
+            seen["pivot_free"] += sol is None and not pivots
+        assert seen["feasible"] > 700 and seen["pivot_free"] > 1000
 
     @pytest.mark.parametrize(
         "rows, n",
@@ -544,9 +659,10 @@ class TestPricing:
         assert phases[1] > 100 and phases[2] > 100
 
     def test_o3_pivot_count(self, monkeypatch):
-        # Bland's rule throughout took 1739 pivots on these LPs, and
-        # Dantzig's 754 when every row started on an artificial that was
-        # priced out with a pivot.
+        # Bland's rule throughout took 1739 pivots on these LPs, Dantzig's
+        # 754 when every row started on an artificial that was priced out
+        # with a pivot, and 319 before the presolve refuted the pairs of
+        # bounds that contradict, P>=1 ~p10 against P>=1/2 p10 among them.
         count = 0
 
         def counting(tableau, basis, row, col):
@@ -557,7 +673,20 @@ class TestPricing:
         pivot = linrat._pivot
         monkeypatch.setattr(linrat, "_pivot", counting)
         assert solve_sat(parse_pformula(O3), default_cs()) is not None
-        assert count <= 400
+        assert count <= 20
+
+    def test_o3_core_needs_no_pivot(self, monkeypatch):
+        # O(3)+U: every one of its 18 LPs bounds some body and its
+        # negation beyond the total measure, and the presolve refutes each
+        # before a tableau is built
+        def no_pivot(tableau, basis, row, col):
+            raise AssertionError(f"pivot on ({row}, {col})")
+
+        monkeypatch.setattr(linrat, "_pivot", no_pivot)
+        systems = []
+        f = parse_pformula(O3 + " & P>=1/2 p10")
+        assert solve_sat(f, default_cs(), on_system=systems.append) is None
+        assert len(systems) == 18
 
 
 class TestSatisfies:
