@@ -38,6 +38,7 @@ class Rel(enum.Enum):
     LE = "<="
     GE = ">="
     LT = "<"
+    __hash__ = object.__hash__  # a C-level identity hash; Enum's is a Python call
 
 
 @dataclass(frozen=True)

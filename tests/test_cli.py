@@ -1,6 +1,15 @@
+import itertools
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple
+
 import pytest
 
-from pjsat import cspec
+from pjsat import cspec, jsem, solver
 from pjsat.cli import main
 
 
@@ -96,7 +105,7 @@ class TestValid:
     def test_valid(self, tmp_path, capsys):
         f = write(tmp_path, "f.pj", "~(P>=1 p1 & ~P>=1 p1)\n")
         assert main(["valid", f]) == 0
-        assert capsys.readouterr().out.strip() == "VALID"
+        assert tuple(capsys.readouterr()) == ("VALID\n", "")
 
 
 class TestJsat:
@@ -311,3 +320,116 @@ class TestUsage:
         assert main(["sat", f, "--model-out", mpath, "--cap", "3"]) == 0
         assert main(["check", f, "--model", mpath, "--cap", "3"]) == 2
         assert "--cap" in capsys.readouterr().err
+
+
+class Case(NamedTuple):
+    files: dict  # name -> formula or model text; argv names the files
+    argv: list
+    code: int
+    out: tuple  # the stdout lines; a last ... stands for any lines after
+    err: str = ""  # a pattern that all of stderr must match
+    walk: int | None = None  # at most this many predicate tests in each Boolean walk
+
+
+# The command line's end-to-end cases; TestEndToEnd.test_case runs each in-process
+CASES = {
+    "justified-bodies": Case(
+        {"f.pj": "P>=1/2 p1 & P>=1/3 t:(p1 -> p2) & ~P>=1/4 (s.t):p2"}, ["sat", "f.pj"], 0,
+        ("SAT", ...)),
+    "jsat-taut1-twice": Case(
+        {"f.j": "~(c_taut1.c_taut1):(p2 -> (p1 -> (p3 -> p1)))"}, ["jsat", "f.j"], 1, ("UNSAT",)),
+    "p-level-contradiction": Case({"f.pj": "P>=1 p1 & ~P>=1 p1"}, ["sat", "f.pj"], 1, ("UNSAT",)),
+    # phase 2 ends with an artificial basic at 0
+    "strict-artificial-at-zero": Case(
+        {"f.pj": "P>=1 p1 & ~P>=1 (p1 & p2)"}, ["sat", "f.pj"], 0, ("SAT", ...)),
+    # three rows start on their slacks and one on an artificial
+    "slack-starts": Case(
+        {"f.pj": "P>=0 p1 & ~P>=1 p1 & ~P>=1/2 ~p1"}, ["sat", "f.pj"], 0, ("SAT", ...)),
+    # refused at the cap, before the J-filter is built
+    "atoms-6000-assertions": Case(
+        {"f.pj": " & ".join(f"P>=1/2 t{i}:p1" for i in range(1, 6001))}, ["atoms", "f.pj"], 3, (),
+        r"error: .*enumeration cap is 20\n"),
+    "check-reverse-basis-order": Case(
+        {"f.pj": "P>=1/2 (p1 & p2)", "m.out": "SAT\nworld 1 weight 1 atom p2 & p1"},
+        ["check", "f.pj", "--model", "m.out"], 0, ("check PASS",)),
+    "dump-lp-two-lower-bounds": Case(
+        {"f.pj": "P>=1/3 p1 & P>=1/2 p1 & ~P>=3/4 p1"}, ["sat", "f.pj", "--dump-lp"], 0,
+        ("1*z1 + 1*z2 = 1", "1*z1 >= 1/3", "1*z1 >= 1/2", "1*z1 < 3/4", "SAT", ...)),
+    "bound-repeats-total-row": Case(
+        {"f.pj": "P>=1/2 p1 & ~P>=1/2 (p1 | ~p1)"}, ["sat", "f.pj"], 1, ("UNSAT",)),
+    "stray-character": Case(
+        {"f.pj": "P>=1/2 p1 $"}, ["sat", "f.pj"], 2, (),
+        r"error: unexpected character '\$' \(at position 10\)\n"),
+    "nested-first-group": Case({"f.pj": "P>=1/2 ((s.t)).u:p1"}, ["sat", "f.pj"], 0, ("SAT", ...)),
+    "p-level-j-connectives": Case(
+        {"f.pj": "~(P<1/2 p1 & ~P>=1/3 (p1 & p2))"}, ["sat", "f.pj"], 0, ("SAT", ...)),
+    "valid-strict-bounds": Case(
+        {"f.pj": "~(P<1/2 p1 & ~P<1/2 p1)"}, ["valid", "f.pj"], 0, ("VALID",)),
+    "dump-lp-refuted-pair": Case(
+        {"f.pj": "P>=1 ~p1 & P>=1/2 p1"}, ["sat", "f.pj", "--dump-lp"], 1,
+        ("1*z1 + 1*z2 = 1", "1*z2 >= 1", "1*z1 >= 1/2", "UNSAT")),
+    # each walk drops every prefix that falsifies its predicate
+    "walk-200-negated-literals": Case(
+        {"f.pj": " & ".join(f"~P>={j}/201 p1" for j in range(1, 201))}, ["sat", "f.pj"], 0,
+        ("SAT", ...), walk=2 * 200 + 1),
+    "walk-jsat-cap-24": Case(
+        {"f.j": " & ".join(f"p{i}" for i in range(1, 25)) + " & ~p1"},
+        ["jsat", "f.j", "--cap", "24"], 1, ("UNSAT",), walk=2 * 24 + 1),
+}
+
+
+class TestEndToEnd:
+    @pytest.mark.parametrize("case", CASES.values(), ids=list(CASES))
+    def test_case(self, tmp_path, capsys, monkeypatch, case):
+        def bounded(walk):  # fails the walk at its (case.walk + 1)-th predicate test
+            def counted(holds, n, fixed=()):
+                tests = itertools.count(1)
+
+                def test(values):
+                    assert next(tests) <= case.walk, "the walk tests too many prefixes"
+                    return holds(values)
+
+                return walk(test, n, fixed)
+
+            return counted
+
+        if case.walk is not None:
+            for module in (solver, jsem):
+                monkeypatch.setattr(module, "assignments", bounded(module.assignments))
+        paths = {name: write(tmp_path, name, text + "\n") for name, text in case.files.items()}
+        argv = [paths.get(a, a) for a in case.argv]
+        model = tmp_path / "model.out"
+        if argv[0] == "sat":
+            argv += ["--model-out", str(model)]
+        assert main(argv) == case.code
+        out, err = capsys.readouterr()
+        lines, expected = out.splitlines(), list(case.out)
+        if expected[-1:] == [...]:
+            expected.pop()
+            lines = lines[:len(expected)]
+        assert lines == expected
+        assert re.fullmatch(case.err, err)
+        assert "Traceback" not in err
+        if argv[0] == "sat" and case.code == 0:
+            # the model passes check, and fails it with its first weight doubled
+            check = ["check", argv[1], "--model", str(model)]
+            assert main(check) == 0
+            assert tuple(capsys.readouterr()) == ("check PASS\n", "")
+            text = model.read_text()
+            w = re.search(r"^world 1 weight (\S+)", text, re.M)
+            model.write_text(text[:w.start(1)] + str(2 * Fraction(w[1])) + text[w.end(1):])
+            assert main(check) == 1
+            out, err = capsys.readouterr()
+            assert out == "check FAIL\n"
+            assert re.search(r"^weights sum to ", err, re.M)
+            assert "Traceback" not in err
+
+    def test_module_entry_point(self, tmp_path):
+        f = write(tmp_path, "f.pj", "P>=1 p1 & ~P>=1 p1\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "pjsat.cli", "sat", f],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "UNSAT\n", "")
