@@ -18,9 +18,9 @@ negated assertion reads only the positives on the terms it visits, so
 each verdict is decided once per sign pattern of those assertions and
 reused across every atom of the formula.  The same filter names the
 assertions the constant specification derives on its own (CS-forced):
-no J-satisfiable atom negates one, so ``jformula_sat`` and
-``solver.solve_sat`` pass them to ``syntax.assignments`` as positions it
-holds true.
+no J-satisfiable atom negates one, so ``jformula_sat`` passes them to
+``syntax.assignments`` as positions it holds true, and ``solver.solve_sat``
+partitions only the sign tuples that hold them true.
 """
 
 from __future__ import annotations

@@ -1,36 +1,44 @@
 """The decision procedure for probability formulas over justification logic.
 
-Satisfiability goes through three stages, both walks being
-``syntax.assignments``: walk the sign tuples over the formula's basis,
-holding true the assertions the constant specification derives on its
-own, and keep, for each signature (the truth values of the probability
-literal bodies), the first one a basic evaluation can satisfy as an
-atom; then walk the truth assignments to the formula's probability
-literals under which the formula holds, dropping every prefix that
-already falsifies it, and translate each one into an exact linear
-system over those sign tuples' weights, whose 0/1 coefficients are read
-off the signatures; read the model off the first feasible system's
-solution.  No assignment past the first feasible one is built.  The
-simplex returns a basic solution, so the model has at most one world per
-row and weights of certified size; ``certify_model`` checks both on
-every model.
+Satisfiability goes through three stages.  First, the sign tuples over
+the formula's basis are the bits of a truth table, one 2^n-bit int per
+set of tuples (Knuth, TAOCP 4A, 7.1.3).  Starting from the tuples that
+hold true the assertions the constant specification derives on its own,
+they are partitioned by the sets of the probability literal bodies, and
+each cell, one signature (the truth values of those bodies), keeps its
+first tuple in enumeration order that a basic evaluation can satisfy as
+an atom.  Second, the truth assignments to the formula's probability
+literals under which the formula holds are walked by
+``syntax.assignments``, which drops every prefix that already falsifies
+it, and each one is translated into an exact linear system over those
+sign tuples' weights, whose 0/1 coefficients are read off the
+signatures.  Once one system has come back infeasible, an assignment
+whose system the presolve would refute builds none.  Third, the model is
+read off the first feasible system's solution.  No assignment past the
+first feasible one is built.  The simplex returns a basic solution, so
+the model has at most one world per row and weights of certified size;
+``certify_model`` checks both on every model.
 
-Both levels of Boolean structure are evaluated by one compiled test,
-``syntax.truth_test``: the formula over the truth values of its
-probability literals (three-valued over the walk's partial assignments,
-and in the model check), and each literal body over an atom's signs.
+The formula over the truth values of its probability literals is
+evaluated by one compiled test, ``syntax.truth_test``, three-valued over
+the walk's partial assignments and two-valued in the model check, which
+also measures each literal body over an atom's signs with the same
+compiled test.
 
 Each decision compiles its formula once (``_Form``).  The form walks
 nothing itself: it reads the probability literals and ``size_p`` from
 ``syntax.p_level`` and the basis from ``syntax.basis_of`` over the
-literals' bodies, and compiles the body tests, P-level test and J-filter
-from them.  The certificate reads the decision's compiled form, so a
-model is checked with the tests and the J-filter that produced it, not
-with rebuilt ones.
+literals' bodies, and compiles the P-level test, the J-filter and, for
+the model check, the body tests from them.  The certificate reads the
+decision's compiled form, so a model is checked with the J-filter that
+produced it, and with body tests compiled apart from the bitsets that
+made its columns.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,10 +100,11 @@ class _Form:
     It has no walk of its own: ``p_level(f)`` gives the distinct AtLeast
     occurrences (``occs``) and ``size``, and ``basis_of`` over the
     distinct bodies (``bodies``, in first-occurrence order) gives the
-    basis.  Compiled from them once, after the cap check: a
-    ``truth_test`` per distinct body (``tests``, in ``bodies`` order), the
-    P-level ``holds`` and, given cs, ``jsat_test(basis, cs)``; and, when
-    first asked for, ``weight_bound``, ``weight_size_bound(f)``.
+    basis.  Compiled from them once, after the cap check: the P-level
+    ``holds`` and, given cs, ``jsat_test(basis, cs)``; and, when first
+    asked for, a ``truth_test`` per distinct body (``tests``, in ``bodies``
+    order), which only the model check reads, and ``weight_bound``,
+    ``weight_size_bound(f)``.
     """
 
     def __init__(self, f: PFormula, cs: ConstantSpec | None = None, cap: int | None = None):
@@ -104,10 +113,13 @@ class _Form:
         self.basis = basis_of(*self.bodies)
         if cap is not None:
             within_cap(self.basis, cap)
-        index = {b: i for i, b in enumerate(self.basis)}
-        self.tests = [truth_test(body, index) for body in self.bodies]
         self.holds = truth_test(f, {occ: i for i, occ in enumerate(self.occs)})
         self.jsat = None if cs is None else jsat_test(self.basis, cs)
+
+    @cached_property
+    def tests(self) -> list:
+        index = {b: i for i, b in enumerate(self.basis)}
+        return [truth_test(body, index) for body in self.bodies]
 
     @cached_property
     def weight_bound(self) -> int:
@@ -185,6 +197,143 @@ def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec, *, form=None
     return problems
 
 
+def _truth_table(n):
+    """Position k's column of the truth table over n positions, as a
+    2^n-bit int: bit i is set iff position k is True in the i-th tuple of
+    ``itertools.product((True, False), repeat=n)``, that is iff bit n-1-k
+    of i is 0.  Each is a block of 2^(n-1-k) ones, doubled up to width."""
+    width = 1 << n
+    columns = []
+    for k in range(n):
+        half = 1 << (n - 1 - k)
+        column, span = (1 << half) - 1, 2 * half
+        while span < width:
+            column |= column << span
+            span *= 2
+        columns.append(column)
+    return columns
+
+
+def _body_set(body, leaves, full):
+    """The bits of the truth table where body holds: ``JNot`` is
+    ``full ^ x``, ``JAnd`` is ``a & b``, any other node reads
+    ``leaves[node]``.  A postorder walk on a stack, where a connective's
+    class stands for applying it, so a deep body does not recurse."""
+    stack, values = [body], []
+    while stack:
+        g = stack.pop()
+        if g is JNot:
+            values.append(full ^ values.pop())
+        elif g is JAnd:
+            values.append(values.pop() & values.pop())
+        elif isinstance(g, JNot):
+            stack += (JNot, g.body)
+        elif isinstance(g, JAnd):
+            stack += (JAnd, g.right, g.left)
+        else:
+            values.append(leaves[g])
+    return values.pop()
+
+
+def _signatures(form):
+    """The representative sign tuples, in enumeration order, and each
+    body's 0/1 column over them (``columns[body]``, one int per
+    representative).
+
+    The sign tuples are the bits of a truth table over the basis.  The
+    cells start as one, the tuples that hold every CS-forced assertion
+    true, since every tuple that negates one is J-unsatisfiable; a depth
+    first refinement splits each cell by each body's set in turn, drops
+    empty parts and carries the truth values taken, so every leaf is one
+    signature's cell and its key is that signature.  A cell's
+    representative is its lowest bit whose tuple passes ``form.jsat``,
+    the first J-satisfiable tuple of the signature in enumeration order;
+    a cell none of whose tuples passes has none.  Only the representatives'
+    indices and tuples are kept, never a cell per representative."""
+    n = len(form.basis)
+    leaves = dict(zip(form.basis, _truth_table(n)))
+    full = (1 << (1 << n)) - 1
+    sets = [_body_set(body, leaves, full) for body in form.bodies]
+    cell = full
+    for j in form.jsat.cs_forced():
+        cell &= leaves[form.basis[j]]
+    # tuple i is high[i >> half] + low[i & mask]: product order, decoded by halves
+    half = n // 2
+    high = list(itertools.product((True, False), repeat=n - half))
+    low = list(itertools.product((True, False), repeat=half))
+    mask = len(low) - 1
+    reps = []
+    stack = [(cell, ())]  # a cell and its key so far, one 0/1 per body
+    while stack:
+        cell, key = stack.pop()
+        for bodyset in sets[len(key):]:
+            inside = cell & bodyset
+            if inside == cell:
+                key += (1,)
+            else:
+                if inside:
+                    stack.append((inside, key + (1,)))
+                cell ^= inside
+                key += (0,)
+        while cell:
+            i = (cell & -cell).bit_length() - 1
+            signs = high[i >> half] + low[i & mask]
+            if form.jsat(signs):
+                reps.append((i, signs, key))
+                break
+            cell &= cell - 1
+    reps.sort()
+    columns = zip(*[key for _, _, key in reps])
+    return [signs for _, signs, _ in reps], dict(zip(form.bodies, columns))
+
+
+_FLIP = bytes([1, 0]) + bytes(254)  # a 0/1 column's bytes to its complement's
+
+
+def _clash_test(occs, columns):
+    """A predicate over the truth assignments to occs: True iff
+    ``feasible``'s presolve answers None on the assignment's system.
+
+    A solver system's only equality is its total row, so that happens iff
+    some literal is dead (rule 2) or two literals' bounds leave no room
+    (rule 4).  Dead: False on an all-ones column; on an all-zeros column,
+    True with s > 0 or False with s = 0.  No room, on the other columns,
+    each with an int id and the id of its complement (1 minus it), if any:
+    one id's largest lower bound is at least its smallest upper bound, or
+    two complementary ids' lower bounds sum past 1, or their upper bounds
+    sum to 1 or less."""
+    one = math.lcm(*(occ.threshold.denominator for occ in occs))  # a threshold s is s * one
+    ids = {}  # each distinct column, as bytes, to its id
+    for column in columns.values():
+        ids.setdefault(bytes(column), len(ids))
+    complement = {c: ids.get(column.translate(_FLIP)) for column, c in ids.items()}
+    literals = []
+    for occ in occs:
+        column, s = bytes(columns[occ.body]), occ.threshold
+        s = s.numerator * (one // s.denominator)
+        dead = False if 0 not in column else s > 0 if 1 not in column else None
+        literals.append((ids[column], s, dead))
+    above = one + 1  # no upper bound, as -1 is no lower bound: neither decides a test
+
+    def clashes(bits):
+        lower, upper = {}, {}
+        for (c, s, dead), bit in zip(literals, bits):
+            if dead is not None:
+                if bit == dead:
+                    return True
+            elif bit:
+                if s > lower.get(c, -1):
+                    lower[c] = s
+            elif s < upper.get(c, above):
+                upper[c] = s
+        for c, s in lower.items():
+            if s >= upper.get(c, above) or s + lower.get(complement[c], -1) > one:
+                return True
+        return any(u + upper.get(complement[c], above) <= one for c, u in upper.items())
+
+    return clashes
+
+
 def solve_sat(
     f: PFormula,
     cs: ConstantSpec,
@@ -195,37 +344,41 @@ def solve_sat(
 
     Sign tuples with the same signature give identical columns, so each
     signature keeps one column: its first J-satisfiable sign tuple in
-    enumeration order.  The walk holds the CS-forced assertions true,
-    since every tuple that negates one is J-unsatisfiable, and sign tuples
-    of a signature that already has a representative are not J-checked;
-    neither skip changes a representative.  Each body's column is read
-    off the signatures.
-    The truth assignments to the AtLeast occurrences under which the
-    formula holds are walked in ``itertools.product`` order by
-    ``assignments``, which fixes them left to right and drops every
-    prefix under which the formula is already False, and each is tried
-    as a linear system; the first feasible one wins.  Its
-    basic solution is the model, one world per positive weight (the only
-    sign tuples made into Atoms), and is certified before being returned.
+    enumeration order, found by partitioning the truth table
+    (``_signatures``), not by testing each tuple.  The truth assignments to
+    the AtLeast occurrences under which the formula holds are walked in
+    ``itertools.product`` order by ``assignments``, which fixes them left
+    to right and drops every prefix under which the formula is already
+    False, and each is tried as a linear system; the first feasible one
+    wins.  Once one system has come back infeasible, an assignment whose
+    system the presolve would refute (``_clash_test``) is skipped: it
+    builds no system, and neither ``feasible`` nor ``on_system`` sees it.
+    The clash table is built for the first assignment that follows an
+    infeasible system, so a decision that needs no skip never builds it.
+    The winning system's basic solution is the model, one world per
+    positive weight (the only sign tuples made into Atoms), and is
+    certified before being returned.
     """
     form = _Form(f, cs, cap)
-    basis, occs, tests, jsat = form.basis, form.occs, form.tests, form.jsat
-    reps = {}
-    for signs in assignments(lambda values: True, len(basis), jsat.cs_forced()):
-        key = tuple([test(signs) for test in tests])
-        if key not in reps and jsat(signs):
-            reps[key] = signs
-    columns = {body: tuple(map(int, col)) for body, col in zip(form.bodies, zip(*reps))}
+    basis, occs = form.basis, form.occs
+    reps, columns = _signatures(form)
+    clashes, refuted = None, False
     for bits in assignments(form.holds, len(occs)):
+        if refuted:
+            if clashes is None:
+                clashes = _clash_test(occs, columns)
+            if clashes(bits):
+                continue
         system = build_system(occs, bits, columns)
         if on_system is not None:
             on_system(system)
         sol = feasible(system)
         if sol is None:
+            refuted = True
             continue
         worlds = tuple(
             (Atom(basis, signs), w)
-            for signs, w in zip(reps.values(), sol.values)
+            for signs, w in zip(reps, sol.values)
             if w > 0
         )
         model = SmallModel(worlds, basis)

@@ -19,7 +19,9 @@ token strings; '(' in a justification formula is tried as a term before
 ':' only when the run of term tokens after it is balanced and ends at ':'.
 
 Boolean structure is compiled once (``truth_test``); every enumeration of
-truth values, P-level or sign tuple, is the one walk ``assignments``.
+truth values, P-level or sign tuple, is the one walk ``assignments``,
+except the solver's signatures, which partition a truth table held as
+bitsets instead of enumerating its tuples.
 """
 
 from __future__ import annotations

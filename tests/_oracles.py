@@ -3,19 +3,21 @@
 Nothing here reuses the solution paths it checks: feasibility is decided
 by Fourier-Motzkin elimination, formula evaluation by exhaustive truth
 tables, atom satisfiability by bounded forward saturation of the
-evidence closure, and parsing by the earlier tokenizer and parser, which
-backtrack by exception.
+evidence closure, parsing by the earlier tokenizer and parser, which
+backtrack by exception, and the presolve by its rules written out on
+their own, over every pair of rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 
 from pjsat.cspec import FMeta, TMeta, scheme_named
-from pjsat.linrat import Rel
+from pjsat.linrat import Rel, Row
 from pjsat.syntax import (
     App,
     Assert,
@@ -121,6 +123,71 @@ def fm_feasible(system) -> bool:
         cons = list(new)
 
     return all(constant_ok(con) for con in cons)
+
+
+# --- the presolve, rule by rule ---
+
+HOLDS = {Rel.EQ: operator.eq, Rel.LE: operator.le, Rel.GE: operator.ge, Rel.LT: operator.lt}
+
+
+def ref_presolve(rows, seen=None):
+    """The rows that become tableau rows, in order, or None when a row the
+    equalities decide fails or two kept rows contradict: linrat's four
+    presolve rules, written here on their own.  An equality stays.  An
+    all-zero inequality is compared with 0, and one whose coefficients
+    equal some equality's with the first such equality's rhs; it goes when
+    that holds.  Any other inequality stands for every inequality with its
+    coefficients and relation, in the first one's place, as their
+    tightest.  Then every ordered pair of distinct kept inequalities is
+    tried against every non-zero coefficient vector's first equality, and
+    the system is decided when the pair bounds one vector, or two that sum
+    to the equality's, from opposite sides; seen counts those decisions
+    under "bound_pair"."""
+    out = []
+    for i, row in enumerate(rows):
+        if row.rel is Rel.EQ:
+            out.append(row)
+            continue
+        same = [r.rhs for r in rows if r.rel is Rel.EQ and r.coeffs == row.coeffs]
+        if all(c == 0 for c in row.coeffs):
+            same = [0]
+        if same:
+            if not HOLDS[row.rel](same[0], row.rhs):
+                return None
+            continue
+        group = [j for j, r in enumerate(rows) if (r.coeffs, r.rel) == (row.coeffs, row.rel)]
+        if group[0] == i:
+            tightest = (max if row.rel is Rel.GE else min)(rows[j].rhs for j in group)
+            out.append(Row(row.coeffs, row.rel, tightest))
+    firsts = {}
+    for r in rows:
+        if r.rel is Rel.EQ and any(c != 0 for c in r.coeffs):
+            firsts.setdefault(r.coeffs, r.rhs)
+    ineqs = [r for r in out if r.rel is not Rel.EQ]
+    if any(ref_clash(x, y, firsts) for x, y in itertools.permutations(ineqs, 2)):
+        if seen is not None:
+            seen["bound_pair"] += 1
+        return None
+    return out
+
+
+def ref_clash(x, y, firsts):
+    """Whether the inequalities x and y contradict each other, alone or
+    beside an equality q . v = e, e = firsts[q]: x bounds its vector from
+    below and y the same one from above, or both bound two vectors that
+    sum to q from the same side, beyond what e leaves them."""
+    if x.coeffs == y.coeffs and x.rel is Rel.GE and y.rel is not Rel.GE:
+        return not HOLDS[y.rel](x.rhs, y.rhs)
+    for q, e in firsts.items():
+        if any(cx + cy != cq for cx, cy, cq in zip(x.coeffs, y.coeffs, q)):
+            continue
+        total = x.rhs + y.rhs
+        if x.rel is Rel.GE and y.rel is Rel.GE and total > e:
+            return True
+        if x.rel is not Rel.GE and y.rel is not Rel.GE:
+            if total <= e if Rel.LT in (x.rel, y.rel) else total < e:
+                return True
+    return False
 
 
 # --- truth-table evaluation ---

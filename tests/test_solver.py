@@ -3,6 +3,7 @@ import itertools
 import math
 import pathlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,10 @@ from pjsat.linrat import Rel, Solution, feasible
 from pjsat.solver import (
     SmallModel,
     _Form,
+    _body_set,
+    _clash_test,
+    _signatures,
+    _truth_table,
     build_system,
     certify_model,
     check_model,
@@ -29,6 +34,7 @@ from pjsat.syntax import (
     AtLeast,
     Atom,
     JAnd,
+    JNot,
     PAnd,
     PNot,
     Prop,
@@ -45,7 +51,7 @@ from pjsat.syntax import (
 )
 
 from _gen import THRESHOLDS, cs_assert_jformula, rand_jformula, rand_pformula, trap_jformula
-from _oracles import p_occurrences, p_size
+from _oracles import fm_feasible, p_occurrences, p_size, ref_presolve
 
 CS = default_cs()
 F = Fraction
@@ -228,27 +234,40 @@ class TestSolveSat:
 
     def test_systems_follow_minterms(self):
         # every system tried is one assignment to the occurrences under
-        # which f holds, in product order: all of them when f is UNSAT,
-        # a prefix ending at the feasible one when it is SAT
+        # which f holds, in product order: each of them up to the first
+        # infeasible one, and after it each one the presolve does not
+        # refute, since an assignment it would refute builds no system.
+        # All of them when f is UNSAT, a prefix ending at the feasible one
+        # when it is SAT; every assignment skipped is infeasible
         rng = random.Random(61)
-        unsats = 0
+        unsats = skipped = 0
         for _ in range(200):
             f = rand_pformula(rng, depth=3)
             occs, minterms = _minterms(f)
-            expected = [
-                [(Rel.GE if bit else Rel.LT, occ.threshold) for occ, bit in zip(occs, bits)]
-                for bits in minterms
-            ]
             systems = []
             m = solve_sat(f, CS, on_system=systems.append)
             seen = [[(row.rel, row.rhs) for row in s.rows[1:]] for s in systems]
             assert all(len(s.rows) <= size_p(f) for s in systems)
+            assert bool(systems) == bool(minterms), f
+            if not systems:
+                continue
+            columns = {occ.body: row.coeffs for occ, row in zip(occs, systems[0].rows[1:])}
+            expected, refuted = [], False
+            for bits in minterms:
+                system = build_system(occs, bits, columns)
+                if refuted and ref_presolve(system.rows) is None:
+                    assert not fm_feasible(system), f
+                    skipped += 1
+                    continue
+                expected.append([(row.rel, row.rhs) for row in system.rows[1:]])
+                refuted = refuted or not fm_feasible(system)
             if m is None:
                 unsats += 1
                 assert seen == expected, f
             else:
                 assert seen == expected[: len(seen)], f
         assert unsats > 10
+        assert skipped > 10
 
     def test_application_trap_unsat(self):
         f = parse_pformula("P>=1 s:~(p1 & ~p2) & P>=1 t:p1 & ~P>=1 (s.t):p2")
@@ -397,6 +416,90 @@ class TestSignatureDedup:
             with_forced += bool(list(jsat_test(basis, CS).cs_forced()))
         assert compared > 100
         assert with_forced > 25
+
+
+    def test_body_sets_of_deep_bodies(self):
+        # a body nested far past the recursion limit gets its set of sign
+        # tuples all the same: p1 & (p2 & (p1 & ...)) holds where both do,
+        # and an odd number of ~ over p1 where p1 does not
+        p1, p2 = Prop(1), Prop(2)
+        leaves = dict(zip((p1, p2), _truth_table(2)))
+        assert leaves == {p1: 0b0011, p2: 0b0101}
+        chain, negations = p2, p1
+        for i in range(5000):
+            chain = JAnd(p1 if i % 2 else p2, chain)
+            negations = JNot(negations)
+        assert _body_set(chain, leaves, 0b1111) == 0b0001
+        assert _body_set(JNot(negations), leaves, 0b1111) == 0b1100
+
+
+class TestClashTest:
+    """The clash table against the presolve written out on its own
+    (``_oracles.ref_presolve``): on every assignment under which the
+    formula holds, it refutes exactly the systems the reference refutes."""
+
+    @staticmethod
+    def compare(formulas):
+        refuted = tried = 0
+        for f in formulas:
+            form = _Form(f, CS)
+            columns = _signatures(form)[1]
+            clashes = _clash_test(form.occs, columns)
+            occs, minterms = _minterms(f)
+            assert occs == form.occs, f
+            for bits in minterms:
+                expected = ref_presolve(build_system(occs, bits, columns).rows) is None
+                assert clashes(bits) == expected, (f, bits)
+                refuted += expected
+                tried += 1
+        return refuted, tried
+
+    def test_workload_instances(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        formulas = [
+            parse_pformula(instance.text)
+            for make in workloads.WORKLOADS.values()
+            for seed in (1, 2, 3)
+            for instance in make(seed)
+        ]
+        assert len(formulas) == 1167
+        refuted, tried = self.compare(formulas)
+        assert refuted > 650 and tried > 1600  # 672 of 1638
+
+    def test_random_formulas(self):
+        rng = random.Random(101)
+        formulas = [rand_pformula(rng, depth=rng.randint(1, 4)) for _ in range(3000)]
+        refuted, tried = self.compare(formulas)
+        assert refuted > 700 and tried > 4800  # 729 of 4902
+
+
+class TestFrontier:
+    """Instances of bench/frontier.py past every workload, asserted by
+    counts and memory, not by time."""
+
+    def test_unsat_cores_build_one_system(self, monkeypatch):
+        # B(20)+U: 2^20 sign tuples, of which the partition J-checks only
+        # the representatives' candidates.  O(7)+U: 1458 accepted
+        # assignments, each with a body bounded beyond the total measure
+        # from both sides, so the clash table skips all but the first.
+        # Its peak is the partition over 2^14 tuples and one system of
+        # 18 rows over the 2^14 signatures
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+        frontier = importlib.import_module("frontier")
+        b20, o7 = (parse_pformula(frontier.text_of(name)) for name in ("B(20)+U", "O(7)+U"))
+        systems = []
+        assert solve_sat(b20, CS, on_system=systems.append) is None
+        assert len(systems) <= 1
+        systems.clear()
+        tracemalloc.start()
+        try:
+            assert solve_sat(o7, CS, on_system=systems.append) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(systems) <= 1
+        assert peak < 16 * 2**20
 
 
 class TestCheckModel:
