@@ -10,7 +10,9 @@ Each built-in scheme is defined once, as a builder ``build(A, B, C, S, T)``
 returning its instance for the given metavariables.  ``Scheme.pattern``
 is the builder applied to the metavariables named A, B, C, S, T.
 ``ConstantSpec.axioms`` says what a constant justifies, for both
-``cs_contains`` and the derivation search in ``jsem.derives``.
+``cs_contains`` and the derivation search in ``jsem.derives``; it builds
+each instance on new metavariables, which equal only themselves, so no
+name supply is needed to rename instances apart.
 """
 
 from __future__ import annotations
@@ -34,18 +36,20 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FMeta:
-    """Formula metavariable in a pattern; a fresh one is named by object()."""
+    """Formula metavariable in a pattern.  It equals only itself and
+    hashes by identity, so each one made is fresh; the name is for
+    reading only."""
 
-    name: object
+    name: str = "_"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TMeta:
-    """Term metavariable in a pattern; a fresh one is named by object()."""
+    """Term metavariable in a pattern; equal only to itself, as FMeta."""
 
-    name: object
+    name: str = "_"
 
 
 @dataclass(frozen=True)
@@ -90,32 +94,34 @@ def scheme_named(name: str) -> Scheme | None:
 
 # --- unification over the two-sorted pattern language ---
 #
-# A substitution is a dict keyed by metavariable nodes, so formula and
-# term metavariables of the same name never collide.
+# A substitution is a dict keyed by metavariable nodes, which hash and
+# compare by identity, so formula and term metavariables never collide
+# and a lookup runs no Python code.  The unifier dispatches on each
+# node's class: identical nodes unify at once, and only the leaves,
+# propositions, constants and variables, are compared by value.
 
 def _occurs(meta, pat, subst):
-    if isinstance(pat, (FMeta, TMeta)):
-        if pat == meta:
-            return True
-        bound = subst.get(pat)
-        return bound is not None and _occurs(meta, bound, subst)
-    if isinstance(pat, (Prop, Const, Var)):
-        return False
-    if isinstance(pat, (JNot,)):
-        return _occurs(meta, pat.body, subst)
-    if isinstance(pat, (JAnd, App, Sum)):
-        return _occurs(meta, pat.left, subst) or _occurs(meta, pat.right, subst)
-    if isinstance(pat, Assert):
-        return _occurs(meta, pat.term, subst) or _occurs(meta, pat.body, subst)
-    if isinstance(pat, Bang):
-        return _occurs(meta, pat.inner, subst)
-    raise TypeError(f"bad pattern: {pat!r}")
-
-
-def _resolve(pat, subst):
-    while isinstance(pat, (FMeta, TMeta)) and pat in subst:
-        pat = subst[pat]
-    return pat
+    stack = [pat]
+    while stack:
+        pat = stack.pop()
+        cls = type(pat)
+        if cls is FMeta or cls is TMeta:
+            if pat is meta:
+                return True
+            bound = subst.get(pat)
+            if bound is not None:
+                stack.append(bound)
+        elif cls is JNot:
+            stack.append(pat.body)
+        elif cls is JAnd or cls is App or cls is Sum:
+            stack += (pat.right, pat.left)
+        elif cls is Assert:
+            stack += (pat.body, pat.term)
+        elif cls is Bang:
+            stack.append(pat.inner)
+        elif cls is not Prop and cls is not Const and cls is not Var:
+            raise TypeError(f"bad pattern: {pat!r}")
+    return False
 
 
 def unify(x, y, subst):
@@ -124,35 +130,43 @@ def unify(x, y, subst):
     Patterns are formula or term patterns; the result maps metavariable
     nodes to patterns and passes the occurs-check.
     """
-    x = _resolve(x, subst)
-    y = _resolve(y, subst)
-    if x == y:
+    if x is y:
         return subst
-    if isinstance(x, (FMeta, TMeta)):
+    cls = type(x)
+    while cls is FMeta or cls is TMeta:
+        bound = subst.get(x)
+        if bound is None:
+            break
+        x, cls = bound, type(bound)
+    other = type(y)
+    while other is FMeta or other is TMeta:
+        bound = subst.get(y)
+        if bound is None:
+            break
+        y, other = bound, type(bound)
+    if x is y:
+        return subst
+    if cls is FMeta or cls is TMeta or other is FMeta or other is TMeta:
+        if cls is not FMeta and cls is not TMeta:
+            x, y = y, x
         if _occurs(x, y, subst):
             return None
         out = dict(subst)
         out[x] = y
         return out
-    if isinstance(y, (FMeta, TMeta)):
-        return unify(y, x, subst)
-    if isinstance(x, JNot) and isinstance(y, JNot):
+    if other is not cls:
+        return None
+    if cls is JNot:
         return unify(x.body, y.body, subst)
-    if isinstance(x, JAnd) and isinstance(y, JAnd):
+    if cls is JAnd or cls is App or cls is Sum:
         s = unify(x.left, y.left, subst)
         return None if s is None else unify(x.right, y.right, s)
-    if isinstance(x, Assert) and isinstance(y, Assert):
+    if cls is Assert:
         s = unify(x.term, y.term, subst)
         return None if s is None else unify(x.body, y.body, s)
-    if isinstance(x, App) and isinstance(y, App):
-        s = unify(x.left, y.left, subst)
-        return None if s is None else unify(x.right, y.right, s)
-    if isinstance(x, Sum) and isinstance(y, Sum):
-        s = unify(x.left, y.left, subst)
-        return None if s is None else unify(x.right, y.right, s)
-    if isinstance(x, Bang) and isinstance(y, Bang):
+    if cls is Bang:
         return unify(x.inner, y.inner, subst)
-    return None
+    return subst if x == y else None
 
 
 def match(pattern, ground):
@@ -189,8 +203,7 @@ class ConstantSpec:
         that no two instances share one, then its finite entries."""
         for sname in sorted(self.schemes_of(cname)):
             yield _SCHEME_BY_NAME[sname].build(
-                FMeta(object()), FMeta(object()), FMeta(object()),
-                TMeta(object()), TMeta(object()),
+                FMeta(), FMeta(), FMeta(), TMeta(), TMeta()
             )
         for c, phi in self.finite:
             if c == cname:

@@ -10,8 +10,8 @@ goal-directed search over the term structure, with first-order unification
 over the two-sorted pattern language (formula and term metavariables).
 A constant's formulas come from ``ConstantSpec.axioms``.  Its scheme
 instances and each application step's antecedent are built on fresh
-metavariables, each named by a new object, so every use of a scheme in a
-derivation is renamed apart from every other.
+metavariables, which equal only themselves, so every use of a scheme in
+a derivation is renamed apart from every other.
 
 The filter is compiled once per formula (``jsat_test``): the search for a
 negated assertion reads only the positives on the terms it visits, so
@@ -67,21 +67,13 @@ def derives(positives, cs: ConstantSpec, t, phi, subst=None):
         if s2 is not None:
             yield s2
     if isinstance(t, App):
-        antecedent = FMeta(object())
+        antecedent = FMeta()
         implication = JNot(JAnd(antecedent, JNot(phi)))
         for s1 in derives(positives, cs, t.left, implication, subst):
             yield from derives(positives, cs, t.right, antecedent, s1)
     elif isinstance(t, Sum):
         yield from derives(positives, cs, t.left, phi, subst)
         yield from derives(positives, cs, t.right, phi, subst)
-
-
-def _visited_terms(t):
-    """The terms whose positives ``derives`` can read when it starts from
-    t: t and, through application and sum (not '!'), their parts."""
-    if isinstance(t, (App, Sum)):
-        return {t} | _visited_terms(t.left) | _visited_terms(t.right)
-    return {t}
 
 
 def jsat_test(basis, cs: ConstantSpec):
@@ -91,8 +83,10 @@ def jsat_test(basis, cs: ConstantSpec):
 
     A negated ``t:phi`` at position j is forced or not depending only on
     the signs of its reads, the assertions whose term ``derives`` visits
-    from t.  The predicate decides each (j, signs at j's reads) once, from
-    only those positives, and remembers the verdict for as long as the
+    from t: t and, through application and sum (not '!'), its parts.  The
+    reads are found once per distinct term, by a walk with no recursion.
+    The predicate decides each (j, signs at j's reads) once, from only
+    those positives, and remembers the verdict for as long as the
     predicate lives.
 
     ``test.cs_forced()`` lazily yields the positions of the assertions cs
@@ -102,10 +96,20 @@ def jsat_test(basis, cs: ConstantSpec):
     them True.
     """
     asserts = [(j, b) for j, b in enumerate(basis) if isinstance(b, Assert)]
+    reads_of = {}
     checks = []
     for j, b in asserts:
-        visited = _visited_terms(b.term)
-        checks.append((j, b, tuple(i for i, c in asserts if c.term in visited)))
+        reads = reads_of.get(b.term)
+        if reads is None:
+            visited, stack = set(), [b.term]
+            while stack:
+                t = stack.pop()
+                if t not in visited:
+                    visited.add(t)
+                    if isinstance(t, (App, Sum)):
+                        stack += (t.left, t.right)
+            reads = reads_of[b.term] = tuple(i for i, c in asserts if c.term in visited)
+        checks.append((j, b, reads))
     memo = {}
 
     def forced(j, b, reads, read_signs):

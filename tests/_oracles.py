@@ -4,8 +4,9 @@ Nothing here reuses the solution paths it checks: feasibility is decided
 by Fourier-Motzkin elimination, formula evaluation by exhaustive truth
 tables, atom satisfiability by bounded forward saturation of the
 evidence closure, parsing by the earlier tokenizer and parser, which
-backtrack by exception, and the presolve by its rules written out on
-their own, over every pair of rows.
+backtrack by exception, unification by the earlier recursive unifier,
+and the presolve by its rules written out on their own, over every pair
+of rows.
 """
 
 from __future__ import annotations
@@ -359,6 +360,69 @@ def jsat_oracle(atom, cs, rounds=2) -> bool:
             break
         pool_f = new_pool
     return not any(g in ev[s] for s, g in neg)
+
+
+# --- reference unifier ---
+# The recursive unifier that pjsat.cspec replaced, kept verbatim: an
+# isinstance ladder behind a structural equality test, with a recursive
+# occurs-check.
+
+def _ref_occurs(meta, pat, subst):
+    if isinstance(pat, (FMeta, TMeta)):
+        if pat == meta:
+            return True
+        bound = subst.get(pat)
+        return bound is not None and _ref_occurs(meta, bound, subst)
+    if isinstance(pat, (Prop, Const, Var)):
+        return False
+    if isinstance(pat, (JNot,)):
+        return _ref_occurs(meta, pat.body, subst)
+    if isinstance(pat, (JAnd, App, Sum)):
+        return _ref_occurs(meta, pat.left, subst) or _ref_occurs(meta, pat.right, subst)
+    if isinstance(pat, Assert):
+        return _ref_occurs(meta, pat.term, subst) or _ref_occurs(meta, pat.body, subst)
+    if isinstance(pat, Bang):
+        return _ref_occurs(meta, pat.inner, subst)
+    raise TypeError(f"bad pattern: {pat!r}")
+
+
+def _ref_resolve(pat, subst):
+    while isinstance(pat, (FMeta, TMeta)) and pat in subst:
+        pat = subst[pat]
+    return pat
+
+
+def ref_unify(x, y, subst):
+    """Most general unifier extending subst, or None on failure."""
+    x = _ref_resolve(x, subst)
+    y = _ref_resolve(y, subst)
+    if x == y:
+        return subst
+    if isinstance(x, (FMeta, TMeta)):
+        if _ref_occurs(x, y, subst):
+            return None
+        out = dict(subst)
+        out[x] = y
+        return out
+    if isinstance(y, (FMeta, TMeta)):
+        return ref_unify(y, x, subst)
+    if isinstance(x, JNot) and isinstance(y, JNot):
+        return ref_unify(x.body, y.body, subst)
+    if isinstance(x, JAnd) and isinstance(y, JAnd):
+        s = ref_unify(x.left, y.left, subst)
+        return None if s is None else ref_unify(x.right, y.right, s)
+    if isinstance(x, Assert) and isinstance(y, Assert):
+        s = ref_unify(x.term, y.term, subst)
+        return None if s is None else ref_unify(x.body, y.body, s)
+    if isinstance(x, App) and isinstance(y, App):
+        s = ref_unify(x.left, y.left, subst)
+        return None if s is None else ref_unify(x.right, y.right, s)
+    if isinstance(x, Sum) and isinstance(y, Sum):
+        s = ref_unify(x.left, y.left, subst)
+        return None if s is None else ref_unify(x.right, y.right, s)
+    if isinstance(x, Bang) and isinstance(y, Bang):
+        return ref_unify(x.inner, y.inner, subst)
+    return None
 
 
 # --- reference parser ---

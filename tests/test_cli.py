@@ -372,6 +372,10 @@ CASES = {
     "walk-200-negated-literals": Case(
         {"f.pj": " & ".join(f"~P>={j}/201 p1" for j in range(1, 201))}, ["sat", "f.pj"], 0,
         ("SAT", ...), walk=2 * 200 + 1),
+    # a 280-deep application chain: the occurs-check walks the goal with no recursion
+    "chain-280-c-taut1": Case(
+        {"f.pj": "P>=1/2 ~" + ".".join(["c_taut1"] * 280) + ":p1"}, ["sat", "f.pj"], 0,
+        ("SAT", ...)),
     "walk-jsat-cap-24": Case(
         {"f.j": " & ".join(f"p{i}" for i in range(1, 25)) + " & ~p1"},
         ["jsat", "f.j", "--cap", "24"], 1, ("UNSAT",), walk=2 * 24 + 1),

@@ -38,8 +38,8 @@ from pjsat.syntax import (
 )
 from pjsat.solver import solve_sat
 
-from _gen import cs_assert_jformula, rand_atom_for, rand_jformula
-from _oracles import jsat_oracle, tt_eval
+from _gen import cs_assert_jformula, rand_atom_for, rand_jformula, rand_term
+from _oracles import jsat_oracle, ref_unify, tt_eval
 
 CS0 = ConstantSpec()  # empty constant specification
 
@@ -120,6 +120,65 @@ class TestUnify:
         y = JAnd(Prop(1), JNot(Prop(2)))
         s = unify(x, y, {})
         assert subst_apply(x, s) == subst_apply(y, s)
+
+    def test_metavariables_equal_only_themselves(self):
+        a, b = FMeta("A"), FMeta("A")
+        assert a == a and a != b and TMeta("S") != TMeta("S")
+        assert len({a: 1, b: 2}) == 2
+
+    def test_matches_recursive_reference(self):
+        # scheme instances on a shared pool of metavariables, unified with
+        # _gen formulas and with instances whose arguments mix metavariables
+        # of the same pool with _gen parts; each trial threads the
+        # substitution through two pairs, as a derivation does
+        rng = random.Random(28)
+        pool_f = [FMeta(n) for n in "ABCD"]
+        pool_t = [TMeta(n) for n in "ST"]
+        schemes = builtin_schemes()
+
+        def formula_arg():
+            r = rng.random()
+            if r < 0.45:
+                return rng.choice(pool_f)
+            if r < 0.6:
+                return rand_jformula(rng, depth=2)
+            if r < 0.75:
+                return JNot(rng.choice(pool_f))
+            if r < 0.9:
+                return JAnd(rng.choice(pool_f), rand_jformula(rng, depth=1))
+            return Assert(rng.choice(pool_t), rng.choice(pool_f))
+
+        def term_arg():
+            r = rng.random()
+            if r < 0.5:
+                return rng.choice(pool_t)
+            if r < 0.75:
+                return rand_term(rng, depth=2)
+            return rng.choice([App, Sum])(rng.choice(pool_t), rand_term(rng, depth=1))
+
+        def pair():
+            x_scheme = rng.choice(schemes)
+            x = x_scheme.build(
+                *(rng.choice(pool_f) for _ in range(3)), *(rng.choice(pool_t) for _ in range(2))
+            )
+            if rng.random() < 0.3:
+                return x, rand_jformula(rng, depth=4)
+            scheme = rng.choice([x_scheme] * 3 + schemes)
+            args = [formula_arg() for _ in range(3)] + [term_arg() for _ in range(2)]
+            return x, scheme.build(*args)
+
+        found = failed = 0
+        for _ in range(3000):
+            got = ref = {}
+            for x, y in (pair(), pair()):
+                got, ref = unify(x, y, got), ref_unify(x, y, ref)
+                assert got == ref, (x, y)
+                if got is None:
+                    failed += 1
+                    break
+                found += 1
+                assert subst_apply(x, got) == subst_apply(y, got)
+        assert found > 500 and failed > 500
 
 
 class TestDerives:
@@ -475,22 +534,39 @@ class TestAgainstSaturationOracle:
 
 
 class TestAgainstBottomUpClosure:
-    def test_deep_evidence_sign_tuples(self, monkeypatch):
-        # bench/checks.atom_jsat closes the evidence function bottom-up
-        # under the default constant specification and shares no code
-        # with jsem or cspec; the formulas of bench/workloads.evidence_family
-        # nest applications of (c_taut1+c_taut2) up to four deep
+    # bench/checks.atom_jsat closes the evidence function bottom-up under
+    # the default constant specification and shares no code with jsem or
+    # cspec
+
+    @staticmethod
+    def compare(monkeypatch, family):
+        """Check jsat_test against the closure on every sign tuple of each
+        formula of the seed-1 workload that has an assertion in its basis;
+        count the formulas, the tuples and the J-unsatisfiable tuples."""
         monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
         checks = importlib.import_module("checks")
         workloads = importlib.import_module("workloads")
         cs = default_cs()
-        tuples = unsat = 0
-        for instance in workloads.evidence(1):
+        formulas = tuples = unsat = 0
+        for instance in getattr(workloads, family)(1):
             basis = basis_of(parse_pformula(instance.text))
+            if not any(isinstance(b, Assert) for b in basis):
+                continue
+            formulas += 1
             jsat = jsat_test(basis, cs)
             for signs in itertools.product((True, False), repeat=len(basis)):
                 expected = checks.atom_jsat(dict(zip(basis, signs)))
                 assert jsat(signs) == expected, (instance.name, signs)
                 tuples += 1
                 unsat += not expected
-        assert (tuples, unsat) == (960, 864)
+        return formulas, tuples, unsat
+
+    def test_deep_evidence_sign_tuples(self, monkeypatch):
+        # the formulas of bench/workloads.evidence_family nest applications
+        # of (c_taut1+c_taut2) up to four deep
+        assert self.compare(monkeypatch, "evidence") == (6, 960, 864)
+
+    def test_small_workload_sign_tuples(self, monkeypatch):
+        # random formulas over the constants s, t, u, c_app, c_sum_l and
+        # c_sum_r, and the closure traps
+        assert self.compare(monkeypatch, "small") == (204, 2992, 420)
