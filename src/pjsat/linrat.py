@@ -9,12 +9,11 @@ epsilon, runs only when some row is strict, and it continues on phase
 1's tableau, artificial columns and all.  It returns a basic solution,
 which the solver takes as its model.  Its tableau is fraction-free, on
 Python ints, after Edmonds (1967) and Bareiss (1968).
-A presolve picks the tableau rows by four rules: every equality stays;
+A presolve picks the tableau rows by three rules: every equality stays;
 an inequality with an equality's coefficients, or all-zero ones, is
-decided by the right-hand sides and goes; of the other inequalities with
-one coefficient vector and relation, only the tightest stays; and two
-kept inequalities that bound one vector, or a vector and its complement
-under an equality, from opposite sides decide the system infeasible.
+decided by the right-hand sides and goes, the system infeasible when it
+fails; and of the other inequalities with one coefficient vector and
+relation, only the tightest stays.
 ``shrink_solution`` turns any non-negative solution into a basic one
 with few positive entries and certified entry sizes: it pins every row
 at the solution's value, restricts the system to the solution's support
@@ -26,7 +25,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,10 +210,9 @@ def _run_simplex(tableau, basis, enterable=None):
 
 def _presolve(rows, n):
     """The indices of the rows that become tableau rows, in tableau order,
-    or None when a decided row fails or two kept rows contradict:
-    ``feasible``'s four rules.  An all-zero inequality is decided by 0,
-    any other by the first equality with its coefficients, and the
-    complements of rule 4 are taken under that first equality too."""
+    or None when a decided row fails: ``feasible``'s three rules.  An
+    all-zero inequality is decided by 0, any other by the first equality
+    with its coefficients."""
     fixed = {(0,) * n: 0}
     for row in rows:
         if row.rel is Rel.EQ:
@@ -237,28 +234,6 @@ def _presolve(rows, n):
         old = rows[kept[k]].rhs
         if (row.rhs > old) if row.rel is Rel.GE else (row.rhs < old):
             kept[k] = i
-    if len(slot) < 2:
-        return kept
-    # rule 4: the kept inequalities on each vector, as (rel, slot, rhs),
-    # those that bound it from below apart from those that bound it from above
-    below, above = {}, {}
-    for (a, rel), k in slot.items():
-        side = below if rel is Rel.GE else above
-        side.setdefault(a, []).append((rel, k, rows[kept[k]].rhs))
-    for a, [(_, _, s)] in below.items():
-        for rel, _, u in above.get(a, ()):
-            if not _holds(s, rel, u):
-                return None
-    for q, e in list(fixed.items())[1:]:  # the non-zero equalities, after fixed's 0
-        for side in (below, above):
-            for a, bounds in side.items():
-                # a.x + b.x = e, so a.x rel s and b.x other t give e rel s + t,
-                # strictly when either is
-                hits = side.get(tuple(map(operator.sub, q, a)), ())
-                for rel, k, s in bounds:
-                    for other, j, t in hits:
-                        if j != k and not _holds(e, rel if rel is other else Rel.LT, s + t):
-                            return None
     return kept
 
 
@@ -267,24 +242,14 @@ def feasible(system: LinearSystem):
     It is basic: its positive entries sit on independent columns.
 
     A presolve (Andersen and Andersen, Math. Programming 1995) keeps the
-    rows below by four rules.  1: every equality is kept.  2: an
+    rows below by three rules.  1: every equality is kept.  2: an
     inequality with an equality's coefficients, or all-zero ones (read as
     ``0 = 0``), is decided by the right-hand sides, dropped when it holds
     and answered None when it fails.  3: of the other inequalities with
     one coefficient vector and relation, only the tightest is kept (the
     largest rhs for ``>=``, the smallest for ``<=`` and ``<``), in the
-    first one's place.  4: the system is answered None when two kept
-    inequalities contradict each other, alone or beside the first
-    equality ``q.x = e`` with a non-zero q.  Alone: ``a.x >= s`` against
-    ``a.x < u`` with s >= u, or against ``a.x <= u`` with s > u.  Beside
-    ``q.x = e``, where ``(q - a).x >= t`` reads ``a.x <= e - t``:
-    ``a.x >= s`` and ``(q - a).x >= t`` with s + t > e, and ``a.x < s``
-    and ``(q - a).x < t`` with s + t <= e, also when one of them is
-    ``<=``; when both are, with s + t < e.  Rule 4 only ever answers
-    None, so the kept rows, the tableau and the solution of every system
-    it does not decide are those of rules 1-3.  The kept rows have the
-    input's feasible set, strict rows included, so the solution is a
-    vertex of the same region.
+    first one's place.  The kept rows have the input's feasible set,
+    strict rows included, so the solution is a vertex of the same region.
 
     The tableau's columns are the variables, then a slack eps when some
     row is strict, then one slack per non-equality row, then one
@@ -304,13 +269,7 @@ def feasible(system: LinearSystem):
     Farkas certificate for the input gives those multipliers to the kept
     rows and 0 to every dropped row.  When a dropped row fails, the
     certificate is that row and the equality it was compared with, or
-    the row alone when it is all zero.  When rule 4 answers, it is the two
-    inequalities, plus the equality for a complement pair, each with
-    multiplier +1 or -1.  A lower and an upper bound on a.x subtract to
-    ``0 >= s - u`` (``>`` when one is strict); two lower bounds on a.x
-    and (q - a).x, less the equality, sum to ``0 >= s + t - e``, and two
-    upper bounds to ``0 <= s + t - e`` (``<`` when one is strict).  Each
-    is false exactly when the rule answers None.
+    the row alone when it is all zero.
 
     Phase 2 continues on phase 1's tableau (Dantzig, 1963): the eps
     objective is priced out as a new last row, below the phase-1 row, and

@@ -12,11 +12,12 @@ literals under which the formula holds are walked by
 ``syntax.assignments``, which drops every prefix that already falsifies
 it, and each one is translated into an exact linear system over those
 sign tuples' weights, whose 0/1 coefficients are read off the
-signatures.  Once one system has come back infeasible, an assignment
-whose system the presolve would refute builds none.  Third, the model is
-read off the first feasible system's solution.  No assignment past the
-first feasible one is built.  The simplex returns a basic solution, so
-the model has at most one world per row and weights of certified size;
+signatures.  An assignment with a dead literal, or with two literals
+whose bounds leave no room, builds none: a clash table read off the
+columns before the walk refutes it.  Third, the model is read off the
+first feasible system's solution.  No assignment past the first
+feasible one is built.  The simplex returns a basic solution, so the
+model has at most one world per row and weights of certified size;
 ``certify_model`` checks both on every model.
 
 The formula over the truth values of its probability literals is
@@ -291,17 +292,28 @@ _FLIP = bytes([1, 0]) + bytes(254)  # a 0/1 column's bytes to its complement's
 
 
 def _clash_test(occs, columns):
-    """A predicate over the truth assignments to occs: True iff
-    ``feasible``'s presolve answers None on the assignment's system.
+    """A predicate over the truth assignments to occs: True iff the
+    assignment's system has a dead literal or two literals whose bounds
+    leave no room, which the columns decide with no tableau (Andersen and
+    Andersen, Math. Programming 1995).
 
-    A solver system's only equality is its total row, so that happens iff
-    some literal is dead (rule 2) or two literals' bounds leave no room
-    (rule 4).  Dead: False on an all-ones column; on an all-zeros column,
-    True with s > 0 or False with s = 0.  No room, on the other columns,
-    each with an int id and the id of its complement (1 minus it), if any:
-    one id's largest lower bound is at least its smallest upper bound, or
-    two complementary ids' lower bounds sum past 1, or their upper bounds
-    sum to 1 or less."""
+    A literal's row is ``a.x >= s`` when it is True and ``a.x < s`` when
+    it is False, a its body's column, beside the total row ``1.x = 1``.
+    Dead: False on an all-ones column; on an all-zeros column, True with
+    s > 0 or False with s = 0.  No room, on the other columns, each with
+    an int id and the id of its complement (1 minus it), if any: one id's
+    largest lower bound is at least its smallest upper bound, or two
+    complementary ids' lower bounds sum past 1, or their upper bounds sum
+    to 1 or less.
+
+    Each refutation is a Farkas certificate, multipliers +1 or -1 on at
+    most two literal rows and the total row, that sums to a false
+    constant row.  A dead literal on an all-zeros column is its row
+    alone, ``0 >= s`` or ``0 < 0``; on an all-ones column, its row less
+    the total row, ``0 < s - 1``.  A lower bound s and an upper bound u on
+    one column subtract to ``0 > s - u``.  Lower bounds s and t on
+    complementary columns, less the total row, sum to ``0 >= s + t - 1``,
+    and upper bounds to ``0 < s + t - 1``."""
     one = math.lcm(*(occ.threshold.denominator for occ in occs))  # a threshold s is s * one
     ids = {}  # each distinct column, as bytes, to its id
     for column in columns.values():
@@ -350,31 +362,25 @@ def solve_sat(
     ``itertools.product`` order by ``assignments``, which fixes them left
     to right and drops every prefix under which the formula is already
     False, and each is tried as a linear system; the first feasible one
-    wins.  Once one system has come back infeasible, an assignment whose
-    system the presolve would refute (``_clash_test``) is skipped: it
-    builds no system, and neither ``feasible`` nor ``on_system`` sees it.
-    The clash table is built for the first assignment that follows an
-    infeasible system, so a decision that needs no skip never builds it.
-    The winning system's basic solution is the model, one world per
+    wins.  An assignment that the clash table (``_clash_test``, built once
+    from the columns before the walk) refutes is skipped: it builds no
+    system, and neither ``feasible`` nor ``on_system`` sees it.  The
+    winning system's basic solution is the model, one world per
     positive weight (the only sign tuples made into Atoms), and is
     certified before being returned.
     """
     form = _Form(f, cs, cap)
     basis, occs = form.basis, form.occs
     reps, columns = _signatures(form)
-    clashes, refuted = None, False
+    clashes = _clash_test(occs, columns)
     for bits in assignments(form.holds, len(occs)):
-        if refuted:
-            if clashes is None:
-                clashes = _clash_test(occs, columns)
-            if clashes(bits):
-                continue
+        if clashes(bits):
+            continue
         system = build_system(occs, bits, columns)
         if on_system is not None:
             on_system(system)
         sol = feasible(system)
         if sol is None:
-            refuted = True
             continue
         worlds = tuple(
             (Atom(basis, signs), w)

@@ -5,8 +5,8 @@ by Fourier-Motzkin elimination, formula evaluation by exhaustive truth
 tables, atom satisfiability by bounded forward saturation of the
 evidence closure, parsing by the earlier tokenizer and parser, which
 backtrack by exception, unification by the earlier recursive unifier,
-and the presolve by its rules written out on their own, over every pair
-of rows.
+the presolve by its rules written out on their own, and the clash table
+by those rules and a test of every pair of rows.
 """
 
 from __future__ import annotations
@@ -131,19 +131,14 @@ def fm_feasible(system) -> bool:
 HOLDS = {Rel.EQ: operator.eq, Rel.LE: operator.le, Rel.GE: operator.ge, Rel.LT: operator.lt}
 
 
-def ref_presolve(rows, seen=None):
+def ref_presolve(rows):
     """The rows that become tableau rows, in order, or None when a row the
-    equalities decide fails or two kept rows contradict: linrat's four
-    presolve rules, written here on their own.  An equality stays.  An
-    all-zero inequality is compared with 0, and one whose coefficients
-    equal some equality's with the first such equality's rhs; it goes when
-    that holds.  Any other inequality stands for every inequality with its
-    coefficients and relation, in the first one's place, as their
-    tightest.  Then every ordered pair of distinct kept inequalities is
-    tried against every non-zero coefficient vector's first equality, and
-    the system is decided when the pair bounds one vector, or two that sum
-    to the equality's, from opposite sides; seen counts those decisions
-    under "bound_pair"."""
+    equalities decide fails: linrat's three presolve rules, written here
+    on their own.  An equality stays.  An all-zero inequality is compared
+    with 0, and one whose coefficients equal some equality's with the
+    first such equality's rhs; it goes when that holds.  Any other
+    inequality stands for every inequality with its coefficients and
+    relation, in the first one's place, as their tightest."""
     out = []
     for i, row in enumerate(rows):
         if row.rel is Rel.EQ:
@@ -160,16 +155,26 @@ def ref_presolve(rows, seen=None):
         if group[0] == i:
             tightest = (max if row.rel is Rel.GE else min)(rows[j].rhs for j in group)
             out.append(Row(row.coeffs, row.rel, tightest))
+    return out
+
+
+def ref_clashes(rows):
+    """Whether rows are refuted with no tableau: a row the equalities
+    decide fails (``ref_presolve`` answers None), or two distinct
+    inequalities it keeps contradict each other (``ref_clash``), alone or
+    beside some non-zero coefficient vector's first equality.  On a
+    solver system, whose only equality is the total row, these are the
+    dead literals and the pairs of bounds that leave no room: the oracle
+    of the solver's clash table."""
+    kept = ref_presolve(rows)
+    if kept is None:
+        return True
     firsts = {}
     for r in rows:
         if r.rel is Rel.EQ and any(c != 0 for c in r.coeffs):
             firsts.setdefault(r.coeffs, r.rhs)
-    ineqs = [r for r in out if r.rel is not Rel.EQ]
-    if any(ref_clash(x, y, firsts) for x, y in itertools.permutations(ineqs, 2)):
-        if seen is not None:
-            seen["bound_pair"] += 1
-        return None
-    return out
+    ineqs = [r for r in kept if r.rel is not Rel.EQ]
+    return any(ref_clash(x, y, firsts) for x, y in itertools.permutations(ineqs, 2))
 
 
 def ref_clash(x, y, firsts):

@@ -365,9 +365,13 @@ CASES = {
         {"f.pj": "~(P<1/2 p1 & ~P>=1/3 (p1 & p2))"}, ["sat", "f.pj"], 0, ("SAT", ...)),
     "valid-strict-bounds": Case(
         {"f.pj": "~(P<1/2 p1 & ~P<1/2 p1)"}, ["valid", "f.pj"], 0, ("VALID",)),
+    # the clash table refutes the one assignment, so no system is built or printed
     "dump-lp-refuted-pair": Case(
-        {"f.pj": "P>=1 ~p1 & P>=1/2 p1"}, ["sat", "f.pj", "--dump-lp"], 1,
-        ("1*z1 + 1*z2 = 1", "1*z2 >= 1", "1*z1 >= 1/2", "UNSAT")),
+        {"f.pj": "P>=1 ~p1 & P>=1/2 p1"}, ["sat", "f.pj", "--dump-lp"], 1, ("UNSAT",)),
+    # a system that only a tableau refutes is still built and printed
+    "dump-lp-tableau-refuted": Case(
+        {"f.pj": "P>=3/4 p1 & ~P>=1/3 (p1 | p2)"}, ["sat", "f.pj", "--dump-lp"], 1,
+        ("1*z1 + 1*z2 + 1*z3 = 1", "1*z1 >= 3/4", "1*z1 + 1*z2 < 1/3", "UNSAT")),
     # each walk drops every prefix that falsifies its predicate
     "walk-200-negated-literals": Case(
         {"f.pj": " & ".join(f"~P>={j}/201 p1" for j in range(1, 201))}, ["sat", "f.pj"], 0,

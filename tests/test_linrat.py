@@ -117,12 +117,11 @@ def _ref_run_simplex(tableau, basis, enterable=None):
 def ref_feasible(system: LinearSystem, seen=None):
     """linrat.feasible on Fraction entries.  When seen is a Counter, it
     counts the calls whose presolve drops a row or decides the system,
-    under "dropped", those whose presolve decides it by a pair of bounds,
-    under "bound_pair", and those whose phase 2 ends with an artificial
+    under "dropped", and those whose phase 2 ends with an artificial
     still basic, under "artificial_basic"."""
     n = system.var_count
     one, zero = Fraction(1), Fraction(0)
-    rows = ref_presolve(system.rows, seen)
+    rows = ref_presolve(system.rows)
     if seen is not None:
         seen["dropped"] += rows is None or len(rows) < len(system.rows)
     if rows is None:
@@ -332,9 +331,8 @@ class TestFeasible:
         # simplex: the integer tableau takes the reference's path, Dantzig
         # pricing with a Bland pivot after each degenerate one, on the
         # rows that the reference's own presolve keeps.  Some draws drop
-        # rows, some are decided by a pair of bounds before any tableau,
-        # and some phase-2 runs end with an artificial basic at 0, so the
-        # paths are compared where the phase-1 tableau carries one
+        # rows, and some phase-2 runs end with an artificial basic at 0,
+        # so the paths are compared where the phase-1 tableau carries one
         # through.
         path, ref_path = [], []
         seen = Counter()
@@ -362,7 +360,6 @@ class TestFeasible:
         assert 600 < seen_feasible < 2400
         assert seen["artificial_basic"] > 0
         assert seen["dropped"] > 300
-        assert seen["bound_pair"] > 40
 
     def test_presolve_agrees_with_fourier_motzkin(self):
         # Repeated bounds, rows with an equality's coefficients and all-zero
@@ -401,18 +398,11 @@ class TestFeasible:
         assert feasible(sys_of([([0, 0], Rel.GE, F(1, 2))], 2)) is None
         assert pivots == []
 
-    def test_bound_pairs_fail_before_any_pivot(self, monkeypatch):
+    def test_bound_pairs_fail_and_near_misses_pass(self):
         # two kept bounds that contradict, on one vector or on a vector and
-        # its complement under the total row, end the call before a
-        # tableau is built; near misses still get a solution
-        pivots = []
-        pivot = linrat._pivot
-
-        def recording(*step):
-            pivots.append(step)
-            pivot(*step)
-
-        monkeypatch.setattr(linrat, "_pivot", recording)
+        # its complement under the total row, leave no solution; the
+        # tableau refutes them, since the presolve decides no pair of
+        # kept rows.  Near misses still get a solution
         total = ([1, 1, 1], Rel.EQ, 1)
         refuted = [
             # direct: a >= s against a < u with s >= u, and a <= u with s > u
@@ -431,7 +421,6 @@ class TestFeasible:
             s = sys_of(rows, len(rows[0][0]))
             assert feasible(s) is None
             assert not fm_feasible(s)
-        assert pivots == []
         near = [
             [total, ([1, 0, 0], Rel.GE, F(1, 3)), ([0, 1, 1], Rel.GE, F(2, 3))],
             [total, ([1, 0, 1], Rel.LT, F(1, 2)), ([0, 1, 0], Rel.LT, F(2, 3))],
@@ -443,19 +432,11 @@ class TestFeasible:
             sol = feasible(s)
             assert sol is not None and ref_satisfies(s, sol.values)
 
-    def test_bound_pairs_agree_with_fourier_motzkin(self, monkeypatch):
+    def test_bound_pairs_agree_with_fourier_motzkin(self):
         # columns that keep or zero each coefficient of an equality's q,
         # bounded beside it with their complements under it, as the
         # solver's 0/1 literal bodies and their negations are beside the
         # total row, which most draws use as q
-        pivots = []
-        pivot = linrat._pivot
-
-        def recording(*step):
-            pivots.append(step)
-            pivot(*step)
-
-        monkeypatch.setattr(linrat, "_pivot", recording)
         rng = random.Random(89)
         seen = Counter()
         thresholds = [F(k, 6) for k in range(7)]
@@ -471,13 +452,12 @@ class TestFeasible:
                 rows.append((a, rel, rng.choice(thresholds)))
             rng.shuffle(rows)
             s = sys_of(rows, n)
-            pivots.clear()
             sol = feasible(s)
             assert (sol is not None) == fm_feasible(s)
             assert sol is None or ref_satisfies(s, sol.values)
             seen["feasible"] += sol is not None
-            seen["pivot_free"] += sol is None and not pivots
-        assert seen["feasible"] > 700 and seen["pivot_free"] > 1000
+            seen["infeasible"] += sol is None
+        assert seen["feasible"] > 700 and seen["infeasible"] > 1000
 
     @pytest.mark.parametrize(
         "rows, n",
@@ -612,9 +592,8 @@ class TestPricing:
 
     def test_o3_core_needs_no_pivot(self, monkeypatch):
         # O(3)+U: each of its 18 accepted assignments bounds some body and
-        # its negation beyond the total measure.  The presolve refutes the
-        # first one's system before a tableau is built, and the other 17
-        # then build no system at all
+        # its negation beyond the total measure, so the clash table skips
+        # all 18 and no system is built
         def no_pivot(tableau, basis, row, col):
             raise AssertionError(f"pivot on ({row}, {col})")
 
@@ -622,7 +601,7 @@ class TestPricing:
         systems = []
         f = parse_pformula(O3 + " & P>=1/2 p10")
         assert solve_sat(f, default_cs(), on_system=systems.append) is None
-        assert len(systems) == 1
+        assert systems == []
 
 
 class TestSatisfies:

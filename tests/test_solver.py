@@ -51,7 +51,7 @@ from pjsat.syntax import (
 )
 
 from _gen import THRESHOLDS, cs_assert_jformula, rand_jformula, rand_pformula, trap_jformula
-from _oracles import fm_feasible, p_occurrences, p_size, ref_presolve
+from _oracles import fm_feasible, p_occurrences, p_size, ref_clashes
 
 CS = default_cs()
 F = Fraction
@@ -143,11 +143,11 @@ class TestPDnf:
     def test_wide_conjunction_tries_one_system(self, monkeypatch):
         # 60 lower bounds over two bodies: of the 2^61 assignments only one
         # satisfies the P-level, and the walk reaches it without trying the
-        # rest; the contradicting literal makes its system infeasible.  The
-        # system keeps one row per literal, and feasible's presolve keeps
-        # one bound per relation and body, so the SAT sibling's LP takes a
-        # few pivots, not one per bound, and the UNSAT system's bounds on
-        # p1 | p2 from both sides are refuted with none.
+        # rest.  Its system keeps one row per literal, and feasible's
+        # presolve keeps one bound per relation and body, so each SAT
+        # sibling's LP takes a few pivots, not one per bound.  The UNSAT
+        # formula's bounds on p1 | p2 from both sides leave no room, and
+        # the clash table skips its one assignment with no system built.
         pivots = []
         pivot = pjsat.linrat._pivot
 
@@ -161,15 +161,18 @@ class TestPDnf:
         f = parse_pformula(bounds + " & ~P>=1/3 (p1 | p2)")
         systems = []
         assert solve_sat(f, CS, on_system=systems.append) is None
-        assert len(systems) == 1
-        assert [r.rel for r in systems[0].rows[1:]] == [Rel.GE] * 60 + [Rel.LT]
-        assert pivots == []
-        pivots.clear()
-        sibling = parse_pformula(bounds)
-        m = solve_sat(sibling, CS)
-        assert m is not None
-        assert len(pivots) <= 6
-        assert certify_model(m, sibling, CS) == []
+        assert systems == [] and pivots == []
+        for sibling in (bounds + " & ~P>=1 (p1 | p2)", bounds):
+            pivots.clear()
+            sibling = parse_pformula(sibling)
+            m = solve_sat(sibling, CS, on_system=systems.append)
+            assert m is not None
+            assert len(pivots) <= 6
+            assert certify_model(m, sibling, CS) == []
+        assert [[r.rel for r in s.rows[1:]] for s in systems] == [
+            [Rel.GE] * 60 + [Rel.LT],
+            [Rel.GE] * 60,
+        ]
 
 
 class TestBuildSystem:
@@ -234,11 +237,10 @@ class TestSolveSat:
 
     def test_systems_follow_minterms(self):
         # every system tried is one assignment to the occurrences under
-        # which f holds, in product order: each of them up to the first
-        # infeasible one, and after it each one the presolve does not
-        # refute, since an assignment it would refute builds no system.
-        # All of them when f is UNSAT, a prefix ending at the feasible one
-        # when it is SAT; every assignment skipped is infeasible
+        # which f holds, in product order, that the clash oracle does not
+        # refute, since an assignment it refutes builds no system.  All of
+        # them when f is UNSAT, a prefix ending at the feasible one when
+        # it is SAT; every assignment skipped is infeasible
         rng = random.Random(61)
         unsats = skipped = 0
         for _ in range(200):
@@ -248,19 +250,15 @@ class TestSolveSat:
             m = solve_sat(f, CS, on_system=systems.append)
             seen = [[(row.rel, row.rhs) for row in s.rows[1:]] for s in systems]
             assert all(len(s.rows) <= size_p(f) for s in systems)
-            assert bool(systems) == bool(minterms), f
-            if not systems:
-                continue
-            columns = {occ.body: row.coeffs for occ, row in zip(occs, systems[0].rows[1:])}
-            expected, refuted = [], False
+            columns = _signatures(_Form(f, CS))[1]
+            expected = []
             for bits in minterms:
                 system = build_system(occs, bits, columns)
-                if refuted and ref_presolve(system.rows) is None:
+                if ref_clashes(system.rows):
                     assert not fm_feasible(system), f
                     skipped += 1
                     continue
                 expected.append([(row.rel, row.rhs) for row in system.rows[1:]])
-                refuted = refuted or not fm_feasible(system)
             if m is None:
                 unsats += 1
                 assert seen == expected, f
@@ -434,8 +432,8 @@ class TestSignatureDedup:
 
 
 class TestClashTest:
-    """The clash table against the presolve written out on its own
-    (``_oracles.ref_presolve``): on every assignment under which the
+    """The clash table against its rules written out on their own
+    (``_oracles.ref_clashes``): on every assignment under which the
     formula holds, it refutes exactly the systems the reference refutes."""
 
     @staticmethod
@@ -448,7 +446,7 @@ class TestClashTest:
             occs, minterms = _minterms(f)
             assert occs == form.occs, f
             for bits in minterms:
-                expected = ref_presolve(build_system(occs, bits, columns).rows) is None
+                expected = ref_clashes(build_system(occs, bits, columns).rows)
                 assert clashes(bits) == expected, (f, bits)
                 refuted += expected
                 tried += 1
@@ -466,6 +464,12 @@ class TestClashTest:
         assert len(formulas) == 1167
         refuted, tried = self.compare(formulas)
         assert refuted > 650 and tried > 1600  # 672 of 1638
+        # no system that solve_sat hands to feasible is one the oracle refutes
+        systems = []
+        for f in formulas:
+            solve_sat(f, CS, on_system=systems.append)
+        assert len(systems) > 600  # 663
+        assert not any(ref_clashes(s.rows) for s in systems)
 
     def test_random_formulas(self):
         rng = random.Random(101)
@@ -478,27 +482,26 @@ class TestFrontier:
     """Instances of bench/frontier.py past every workload, asserted by
     counts and memory, not by time."""
 
-    def test_unsat_cores_build_one_system(self, monkeypatch):
+    def test_unsat_cores_build_no_system(self, monkeypatch):
         # B(20)+U: 2^20 sign tuples, of which the partition J-checks only
         # the representatives' candidates.  O(7)+U: 1458 accepted
         # assignments, each with a body bounded beyond the total measure
-        # from both sides, so the clash table skips all but the first.
-        # Its peak is the partition over 2^14 tuples and one system of
-        # 18 rows over the 2^14 signatures
+        # from both sides, so the clash table skips them all.  Its peak
+        # is the partition over 2^14 tuples and the 2^14-entry columns'
+        # clash table
         monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
         frontier = importlib.import_module("frontier")
         b20, o7 = (parse_pformula(frontier.text_of(name)) for name in ("B(20)+U", "O(7)+U"))
         systems = []
         assert solve_sat(b20, CS, on_system=systems.append) is None
-        assert len(systems) <= 1
-        systems.clear()
+        assert systems == []
         tracemalloc.start()
         try:
             assert solve_sat(o7, CS, on_system=systems.append) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(systems) <= 1
+        assert systems == []
         assert peak < 16 * 2**20
 
 
