@@ -8,12 +8,8 @@ artificial.  Phase 1 always runs; phase 2, which maximizes a slack
 epsilon, runs only when some row is strict, and it continues on phase
 1's tableau, artificial columns and all.  It returns a basic solution,
 which the solver takes as its model.  Its tableau is fraction-free, on
-Python ints, after Edmonds (1967) and Bareiss (1968).
-A presolve picks the tableau rows by three rules: every equality stays;
-an inequality with an equality's coefficients, or all-zero ones, is
-decided by the right-hand sides and goes, the system infeasible when it
-fails; and of the other inequalities with one coefficient vector and
-relation, only the tightest stays.
+Python ints, after Edmonds (1967) and Bareiss (1968), with one row per
+input row.
 ``shrink_solution`` turns any non-negative solution into a basic one
 with few positive entries and certified entry sizes: it pins every row
 at the solution's value, restricts the system to the solution's support
@@ -208,68 +204,26 @@ def _run_simplex(tableau, basis, enterable=None):
         _pivot(tableau, basis, leave, enter)
 
 
-def _presolve(rows, n):
-    """The indices of the rows that become tableau rows, in tableau order,
-    or None when a decided row fails: ``feasible``'s three rules.  An
-    all-zero inequality is decided by 0, any other by the first equality
-    with its coefficients."""
-    fixed = {(0,) * n: 0}
-    for row in rows:
-        if row.rel is Rel.EQ:
-            fixed.setdefault(row.coeffs, row.rhs)
-    kept, slot = [], {}
-    for i, row in enumerate(rows):
-        if row.rel is Rel.EQ:
-            kept.append(i)
-            continue
-        value = fixed.get(row.coeffs)
-        if value is not None:
-            if not _holds(value, row.rel, row.rhs):
-                return None
-            continue
-        k = slot.setdefault((row.coeffs, row.rel), len(kept))
-        if k == len(kept):
-            kept.append(i)
-            continue
-        old = rows[kept[k]].rhs
-        if (row.rhs > old) if row.rel is Rel.GE else (row.rhs < old):
-            kept[k] = i
-    return kept
-
-
 def feasible(system: LinearSystem):
     """A non-negative exact solution (strict rows strictly), or None.
     It is basic: its positive entries sit on independent columns.
 
-    A presolve (Andersen and Andersen, Math. Programming 1995) keeps the
-    rows below by three rules.  1: every equality is kept.  2: an
-    inequality with an equality's coefficients, or all-zero ones (read as
-    ``0 = 0``), is decided by the right-hand sides, dropped when it holds
-    and answered None when it fails.  3: of the other inequalities with
-    one coefficient vector and relation, only the tightest is kept (the
-    largest rhs for ``>=``, the smallest for ``<=`` and ``<``), in the
-    first one's place.  The kept rows have the input's feasible set,
-    strict rows included, so the solution is a vertex of the same region.
-
-    The tableau's columns are the variables, then a slack eps when some
-    row is strict, then one slack per non-equality row, then one
-    artificial per row that does not start on its slack.  A strict row
-    ``a < b`` is written ``a + eps <= b`` and ``eps <= 1`` is added as the
-    strict row ``0 < 1``.  Every row is stored with a non-negative
-    right-hand side, and it starts basic on its slack when the slack's
-    stored entry is positive: ``<=`` and ``<`` rows with rhs >= 0, ``>=``
-    rows with rhs <= 0, and ``0 < 1`` (Bixby, ORSA J. Computing 1992).
+    The tableau has one row per input row.  Its columns are the
+    variables, then a slack eps when some row is strict, then one slack
+    per non-equality row, then one artificial per row that does not
+    start on its slack.  A strict row ``a < b`` is written
+    ``a + eps <= b`` and ``eps <= 1`` is added as the strict row
+    ``0 < 1``.  Every row is stored with a non-negative right-hand side,
+    and it starts basic on its slack when the slack's stored entry is
+    positive: ``<=`` and ``<`` rows with rhs >= 0, ``>=`` rows with
+    rhs <= 0, and ``0 < 1`` (Bixby, ORSA J. Computing 1992).
     Phase 1 minimizes the sum of the artificials.  Without a strict row
     its basic solution is the answer.  Otherwise phase 2 maximizes eps,
     and the system is feasible iff the optimum has eps > 0.  Row i's
     phase-1 multiplier y_i, for the row as stored, is read at the column
     s it starts basic on, scale_i times the unit vector e_i: the final
     phase-1 row holds c_s - scale_i * y_i there, c_s 1 for an artificial
-    and 0 for a slack, times the objective row's positive factor.  A
-    Farkas certificate for the input gives those multipliers to the kept
-    rows and 0 to every dropped row.  When a dropped row fails, the
-    certificate is that row and the equality it was compared with, or
-    the row alone when it is all zero.
+    and 0 for a slack, times the objective row's positive factor.
 
     Phase 2 continues on phase 1's tableau (Dantzig, 1963): the eps
     objective is priced out as a new last row, below the phase-1 row, and
@@ -294,17 +248,13 @@ def feasible(system: LinearSystem):
     cross-multiplied ratio test, and the basic values rhs_i / line_i[b].
     ``Fraction`` appears only at the edges, where input rows are read and
     the solution is returned; the solution is checked against every input
-    row, dropped ones too, as scaled to ints.
+    row, as scaled to ints.
     """
     n = system.var_count
-    kept = _presolve(system.rows, n)
-    if kept is None:
-        return None
-    # each input row as ints, (scale, coeffs, rhs, rel); the solution is checked on them all
+    # each input row as ints, (scale, coeffs, rhs, rel)
     ints = [(*_integer_row(row.coeffs, row.rhs), row.rel) for row in system.rows]
-    rows = [ints[i] for i in kept]
-    eps = int(any(rel is Rel.LT for *_, rel in rows))
-    rows += [(1, [0] * n, 1, Rel.LT)] * eps
+    eps = int(any(rel is Rel.LT for *_, rel in ints))
+    rows = ints + [(1, [0] * n, 1, Rel.LT)] * eps
     arts = [rel is Rel.EQ or (rhs > 0 if rel is Rel.GE else rhs < 0) for *_, rhs, rel in rows]
     art = n + eps + sum(rel is not Rel.EQ for *_, rel in rows)
     width = art + sum(arts)

@@ -14,8 +14,10 @@ it, and each one is translated into an exact linear system over those
 sign tuples' weights, whose 0/1 coefficients are read off the
 signatures.  An assignment with a dead literal, or with two literals
 whose bounds leave no room, builds none: a clash table read off the
-columns before the walk refutes it.  Third, the model is read off the
-first feasible system's solution.  No assignment past the first
+columns before the walk refutes it, and of any other system it keeps
+the rows the simplex gets, the total row and the tightest bound per
+column and direction, which imply the rest.  Third, the model is read
+off the first feasible system's solution.  No assignment past the first
 feasible one is built.  The simplex returns a basic solution, so the
 model has at most one world per row and weights of certified size;
 ``certify_model`` checks both on every model.
@@ -291,20 +293,28 @@ def _signatures(form):
 _FLIP = bytes([1, 0]) + bytes(254)  # a 0/1 column's bytes to its complement's
 
 
-def _clash_test(occs, columns):
-    """A predicate over the truth assignments to occs: True iff the
+def _kept_rows(occs, columns):
+    """A function of the truth assignments to occs: None when the
     assignment's system has a dead literal or two literals whose bounds
     leave no room, which the columns decide with no tableau (Andersen and
-    Andersen, Math. Programming 1995).
+    Andersen, Math. Programming 1995), and otherwise the indices of the
+    rows of its ``build_system`` system, the total row 0 and occs[k]'s
+    row k + 1, that reach the tableau.
 
     A literal's row is ``a.x >= s`` when it is True and ``a.x < s`` when
     it is False, a its body's column, beside the total row ``1.x = 1``.
     Dead: False on an all-ones column; on an all-zeros column, True with
     s > 0 or False with s = 0.  No room, on the other columns, each with
-    an int id and the id of its complement (1 minus it), if any: one id's
-    largest lower bound is at least its smallest upper bound, or two
+    an int id and the id of its complement (1 minus it): one id's largest
+    lower bound is at least its smallest upper bound, or two
     complementary ids' lower bounds sum past 1, or their upper bounds sum
     to 1 or less.
+
+    The kept rows are the total row, then per id and direction the
+    tightest bound (the first on ties), in its first row's place.  The
+    rows left out, looser bounds and literals that hold on all-ones or
+    all-zeros columns, are implied, so a Farkas certificate over the kept
+    rows gives 0 to every other literal row.
 
     Each refutation is a Farkas certificate, multipliers +1 or -1 on at
     most two literal rows and the total row, that sums to a false
@@ -318,7 +328,8 @@ def _clash_test(occs, columns):
     ids = {}  # each distinct column, as bytes, to its id
     for column in columns.values():
         ids.setdefault(bytes(column), len(ids))
-    complement = {c: ids.get(column.translate(_FLIP)) for column, c in ids.items()}
+    # an id no column has stands for a missing complement
+    complement = {c: ids.get(column.translate(_FLIP), len(ids)) for column, c in ids.items()}
     literals = []
     for occ in occs:
         column, s = bytes(columns[occ.body]), occ.threshold
@@ -327,23 +338,29 @@ def _clash_test(occs, columns):
         literals.append((ids[column], s, dead))
     above = one + 1  # no upper bound, as -1 is no lower bound: neither decides a test
 
-    def clashes(bits):
-        lower, upper = {}, {}
-        for (c, s, dead), bit in zip(literals, bits):
+    def kept_rows(bits):
+        # keyed by c for id c's lower bound, by ~c for its upper: the
+        # tightest bound and its row, which keeps the first row's place
+        bound, row = {}, {}
+        for i, ((c, s, dead), bit) in enumerate(zip(literals, bits), 1):
             if dead is not None:
                 if bit == dead:
-                    return True
-            elif bit:
-                if s > lower.get(c, -1):
-                    lower[c] = s
-            elif s < upper.get(c, above):
-                upper[c] = s
-        for c, s in lower.items():
-            if s >= upper.get(c, above) or s + lower.get(complement[c], -1) > one:
-                return True
-        return any(u + upper.get(complement[c], above) <= one for c, u in upper.items())
+                    return None
+                continue
+            key = c if bit else ~c
+            old = bound.get(key)
+            if old is None or (s > old if bit else s < old):
+                bound[key] = s
+                row[key] = i
+        for c, s in bound.items():
+            if c >= 0:
+                if s >= bound.get(~c, above) or s + bound.get(complement[c], -1) > one:
+                    return None
+            elif s + bound.get(~complement[~c], above) <= one:
+                return None
+        return [0, *row.values()]
 
-    return clashes
+    return kept_rows
 
 
 def solve_sat(
@@ -362,9 +379,11 @@ def solve_sat(
     ``itertools.product`` order by ``assignments``, which fixes them left
     to right and drops every prefix under which the formula is already
     False, and each is tried as a linear system; the first feasible one
-    wins.  An assignment that the clash table (``_clash_test``, built once
+    wins.  An assignment that the clash table (``_kept_rows``, built once
     from the columns before the walk) refutes is skipped: it builds no
-    system, and neither ``feasible`` nor ``on_system`` sees it.  The
+    system, and neither ``feasible`` nor ``on_system`` sees it.  Of any
+    other system, one row per literal as ``on_system`` sees it,
+    ``feasible`` gets only the rows the clash table keeps.  The
     winning system's basic solution is the model, one world per
     positive weight (the only sign tuples made into Atoms), and is
     certified before being returned.
@@ -372,14 +391,15 @@ def solve_sat(
     form = _Form(f, cs, cap)
     basis, occs = form.basis, form.occs
     reps, columns = _signatures(form)
-    clashes = _clash_test(occs, columns)
+    kept_rows = _kept_rows(occs, columns)
     for bits in assignments(form.holds, len(occs)):
-        if clashes(bits):
+        kept = kept_rows(bits)
+        if kept is None:
             continue
         system = build_system(occs, bits, columns)
         if on_system is not None:
             on_system(system)
-        sol = feasible(system)
+        sol = feasible(LinearSystem(tuple(system.rows[i] for i in kept), system.var_count))
         if sol is None:
             continue
         worlds = tuple(

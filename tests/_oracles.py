@@ -5,8 +5,9 @@ by Fourier-Motzkin elimination, formula evaluation by exhaustive truth
 tables, atom satisfiability by bounded forward saturation of the
 evidence closure, parsing by the earlier tokenizer and parser, which
 backtrack by exception, unification by the earlier recursive unifier,
-the presolve by its rules written out on their own, and the clash table
-by those rules and a test of every pair of rows.
+the solver's choice of tableau rows by presolve rules written out on
+their own, and the clash table by those rules and a test of every pair
+of rows.
 """
 
 from __future__ import annotations
@@ -126,19 +127,21 @@ def fm_feasible(system) -> bool:
     return all(constant_ok(con) for con in cons)
 
 
-# --- the presolve, rule by rule ---
+# --- the tableau rows, by presolve rules ---
 
 HOLDS = {Rel.EQ: operator.eq, Rel.LE: operator.le, Rel.GE: operator.ge, Rel.LT: operator.lt}
 
 
 def ref_presolve(rows):
     """The rows that become tableau rows, in order, or None when a row the
-    equalities decide fails: linrat's three presolve rules, written here
-    on their own.  An equality stays.  An all-zero inequality is compared
-    with 0, and one whose coefficients equal some equality's with the
-    first such equality's rhs; it goes when that holds.  Any other
-    inequality stands for every inequality with its coefficients and
-    relation, in the first one's place, as their tightest."""
+    equalities decide fails, by three presolve rules (Andersen and
+    Andersen, Math. Programming 1995): the oracle of the rows that the
+    solver's clash table hands ``feasible``.  An equality stays.  An
+    all-zero inequality is compared with 0, and one whose coefficients
+    equal some equality's with the first such equality's rhs; it goes
+    when that holds.  Any other inequality stands for every inequality
+    with its coefficients and relation, in the first one's place, as
+    their tightest."""
     out = []
     for i, row in enumerate(rows):
         if row.rel is Rel.EQ:

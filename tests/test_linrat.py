@@ -115,19 +115,14 @@ def _ref_run_simplex(tableau, basis, enterable=None):
 
 
 def ref_feasible(system: LinearSystem, seen=None):
-    """linrat.feasible on Fraction entries.  When seen is a Counter, it
-    counts the calls whose presolve drops a row or decides the system,
-    under "dropped", and those whose phase 2 ends with an artificial
-    still basic, under "artificial_basic"."""
+    """linrat.feasible on Fraction entries, one tableau row per input
+    row.  When seen is a Counter, it counts the calls whose phase 2 ends
+    with an artificial still basic, under "artificial_basic"."""
     n = system.var_count
     one, zero = Fraction(1), Fraction(0)
-    rows = ref_presolve(system.rows)
-    if seen is not None:
-        seen["dropped"] += rows is None or len(rows) < len(system.rows)
-    if rows is None:
-        return None
+    rows = system.rows
     eps = int(any(row.rel is Rel.LT for row in rows))
-    rows = tuple(rows) + (Row((zero,) * n, Rel.LT, one),) * eps
+    rows += (Row((zero,) * n, Rel.LT, one),) * eps
     art = n + eps + sum(row.rel is not Rel.EQ for row in rows)
     lines = []
     starts = []
@@ -329,9 +324,8 @@ class TestFeasible:
     def test_matches_fraction_reference(self, monkeypatch):
         # Same results and the same pivots, in order, as the Fraction
         # simplex: the integer tableau takes the reference's path, Dantzig
-        # pricing with a Bland pivot after each degenerate one, on the
-        # rows that the reference's own presolve keeps.  Some draws drop
-        # rows, and some phase-2 runs end with an artificial basic at 0,
+        # pricing with a Bland pivot after each degenerate one, on every
+        # input row.  Some phase-2 runs end with an artificial basic at 0,
         # so the paths are compared where the phase-1 tableau carries one
         # through.
         path, ref_path = [], []
@@ -359,13 +353,12 @@ class TestFeasible:
             seen_feasible += sol is not None
         assert 600 < seen_feasible < 2400
         assert seen["artificial_basic"] > 0
-        assert seen["dropped"] > 300
 
-    def test_presolve_agrees_with_fourier_motzkin(self):
+    def test_repeated_and_decided_rows_agree_with_fourier_motzkin(self):
         # Repeated bounds, rows with an equality's coefficients and all-zero
-        # rows of every relation are decided or merged before the tableau
-        # is built.  The verdict is Fourier-Motzkin's on the whole system,
-        # and every solution satisfies every input row, dropped ones too.
+        # rows of every relation all reach the tableau; a presolve
+        # (``ref_presolve``) would decide or merge them.  The verdict is
+        # Fourier-Motzkin's, and every solution satisfies every input row.
         rng = random.Random(83)
         seen = Counter()
         for _ in range(1000):
@@ -389,20 +382,18 @@ class TestFeasible:
         assert seen[True] > 200 and seen[False] > 200
         assert seen["decided"] > 200 and seen["dropped"] > 200
 
-    def test_decided_rows_fail_before_any_pivot(self, monkeypatch):
-        # a row the total decides and an all-zero row that fails end the
-        # call before a tableau is built
-        pivots = []
-        monkeypatch.setattr(linrat, "_pivot", lambda *step: pivots.append(step))
+    def test_decided_rows_fail(self):
+        # a row the total decides and an all-zero row that fails leave no
+        # solution; the tableau refutes them, since the solver's clash
+        # table, not feasible, keeps such rows out of a solver system
         assert feasible(sys_of([([1, 1], Rel.EQ, 1), ([1, 1], Rel.LT, 1)], 2)) is None
         assert feasible(sys_of([([0, 0], Rel.GE, F(1, 2))], 2)) is None
-        assert pivots == []
 
     def test_bound_pairs_fail_and_near_misses_pass(self):
-        # two kept bounds that contradict, on one vector or on a vector and
+        # two bounds that contradict, on one vector or on a vector and
         # its complement under the total row, leave no solution; the
-        # tableau refutes them, since the presolve decides no pair of
-        # kept rows.  Near misses still get a solution
+        # tableau refutes them, since feasible decides no row on its own.
+        # Near misses still get a solution
         total = ([1, 1, 1], Rel.EQ, 1)
         refuted = [
             # direct: a >= s against a < u with s >= u, and a <= u with s > u

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import math
@@ -18,7 +19,7 @@ from pjsat.solver import (
     SmallModel,
     _Form,
     _body_set,
-    _clash_test,
+    _kept_rows,
     _signatures,
     _truth_table,
     build_system,
@@ -51,7 +52,7 @@ from pjsat.syntax import (
 )
 
 from _gen import THRESHOLDS, cs_assert_jformula, rand_jformula, rand_pformula, trap_jformula
-from _oracles import fm_feasible, p_occurrences, p_size, ref_clashes
+from _oracles import fm_feasible, p_occurrences, p_size, ref_clashes, ref_presolve
 
 CS = default_cs()
 F = Fraction
@@ -143,8 +144,8 @@ class TestPDnf:
     def test_wide_conjunction_tries_one_system(self, monkeypatch):
         # 60 lower bounds over two bodies: of the 2^61 assignments only one
         # satisfies the P-level, and the walk reaches it without trying the
-        # rest.  Its system keeps one row per literal, and feasible's
-        # presolve keeps one bound per relation and body, so each SAT
+        # rest.  Its system keeps one row per literal, and the clash table
+        # hands feasible one bound per relation and body, so each SAT
         # sibling's LP takes a few pivots, not one per bound.  The UNSAT
         # formula's bounds on p1 | p2 from both sides leave no room, and
         # the clash table skips its one assignment with no system built.
@@ -228,6 +229,18 @@ class TestSolveSat:
 
     def test_threshold_zero_trivial(self):
         assert solve_sat(parse_pformula("P>=0 t:p1"), CS) is not None
+
+    def test_decided_literals_build_no_system(self, monkeypatch):
+        # a literal that its all-zeros or all-ones body decides false is
+        # refuted by the clash table, with no system built or pivoted
+        def no_pivot(tableau, basis, row, col):
+            raise AssertionError(f"pivot on ({row}, {col})")
+
+        monkeypatch.setattr(pjsat.linrat, "_pivot", no_pivot)
+        for text in ("P>=1/2 (p1 & ~p1)", "~P>=1 (p1 | ~p1)"):
+            systems = []
+            assert solve_sat(parse_pformula(text), CS, on_system=systems.append) is None
+            assert systems == []
 
     def test_boolean_contradiction_tries_no_system(self):
         systems = []
@@ -431,10 +444,37 @@ class TestSignatureDedup:
         assert _body_set(JNot(negations), leaves, 0b1111) == 0b1100
 
 
+def _workload_texts(monkeypatch):
+    """The texts of bench/workloads.py's instances of seeds 1 to 3."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    return [
+        instance.text
+        for make in workloads.WORKLOADS.values()
+        for seed in (1, 2, 3)
+        for instance in make(seed)
+    ]
+
+
+class TestModelIdentity:
+    def test_workload_models(self, monkeypatch):
+        # the verdict and model of every workload instance, pinned by one
+        # hash: each text, then its model text or UNSAT, each followed by
+        # a newline.  A change that means to change models updates it
+        digest = hashlib.sha256()
+        for text in _workload_texts(monkeypatch):
+            model = solve_sat(parse_pformula(text), CS)
+            digest.update(f"{text}\n{format_model(model) if model else 'UNSAT'}\n".encode())
+        assert digest.hexdigest() == (
+            "74ab559c8ba9f53100c6ae534158d0356034879ae8125a7b625cdc605b7e4283"
+        )
+
+
 class TestClashTest:
-    """The clash table against its rules written out on their own
-    (``_oracles.ref_clashes``): on every assignment under which the
-    formula holds, it refutes exactly the systems the reference refutes."""
+    """The clash table against its rules written out on their own: on
+    every assignment under which the formula holds, it refutes exactly
+    the systems ``_oracles.ref_clashes`` refutes, and of every other it
+    keeps the rows ``_oracles.ref_presolve`` keeps, in its order."""
 
     @staticmethod
     def compare(formulas):
@@ -442,25 +482,22 @@ class TestClashTest:
         for f in formulas:
             form = _Form(f, CS)
             columns = _signatures(form)[1]
-            clashes = _clash_test(form.occs, columns)
+            kept_rows = _kept_rows(form.occs, columns)
             occs, minterms = _minterms(f)
             assert occs == form.occs, f
             for bits in minterms:
-                expected = ref_clashes(build_system(occs, bits, columns).rows)
-                assert clashes(bits) == expected, (f, bits)
+                rows = build_system(occs, bits, columns).rows
+                kept = kept_rows(bits)
+                expected = ref_clashes(rows)
+                assert (kept is None) == expected, (f, bits)
+                if kept is not None:
+                    assert [rows[i] for i in kept] == ref_presolve(rows), (f, bits)
                 refuted += expected
                 tried += 1
         return refuted, tried
 
     def test_workload_instances(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
-        workloads = importlib.import_module("workloads")
-        formulas = [
-            parse_pformula(instance.text)
-            for make in workloads.WORKLOADS.values()
-            for seed in (1, 2, 3)
-            for instance in make(seed)
-        ]
+        formulas = [parse_pformula(text) for text in _workload_texts(monkeypatch)]
         assert len(formulas) == 1167
         refuted, tried = self.compare(formulas)
         assert refuted > 650 and tried > 1600  # 672 of 1638
