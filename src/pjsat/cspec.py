@@ -6,13 +6,13 @@ part lists individual (constant, ground instance) pairs.  Scheme patterns
 are justification formulas extended with formula metavariables (A, B, C)
 and term metavariables (S, T); the two sorts never mix.
 
-Each built-in scheme is defined once, as a builder ``build(A, B, C, S, T)``
-returning its instance for the given metavariables.  ``Scheme.pattern``
-is the builder applied to the metavariables named A, B, C, S, T.
-``ConstantSpec.axioms`` says what a constant justifies, for both
-``cs_contains`` and the derivation search in ``jsem.derives``; it builds
-each instance on new metavariables, which equal only themselves, so no
-name supply is needed to rename instances apart.
+Each built-in scheme has one shared ``Scheme.pattern`` on metavariables
+named A, B, C, S, T.  ``ConstantSpec.patterns`` says what a constant
+justifies, for both ``cs_contains`` and ``jsem.derives``, and
+``unify_scheme`` unifies such a pattern with a goal as an instance on
+fresh metavariables would: a pattern metavariable stands for the goal
+part it first meets, and a piece of the pattern is built only where a
+goal metavariable is bound to it, so every use is renamed apart.
 """
 
 from __future__ import annotations
@@ -54,30 +54,24 @@ class TMeta:
 
 @dataclass(frozen=True)
 class Scheme:
-    """An axiom scheme.  ``build(A, B, C, S, T)`` makes its instance for
-    formula metavariables A, B, C and term metavariables S, T; ``pattern``
-    is the instance for the metavariables named so."""
+    """An axiom scheme: its name and its pattern over the formula
+    metavariables A, B, C and the term metavariables S, T."""
 
     name: str
-    build: object = field(repr=False, compare=False)
     pattern: object  # JFormula extended with FMeta/TMeta nodes
 
 
 def _make_schemes():
-    builders = {
-        "TAUT1": lambda A, B, C, S, T: jimp(A, jimp(B, A)),
-        "TAUT2": lambda A, B, C, S, T: jimp(
-            jimp(A, jimp(B, C)), jimp(jimp(A, B), jimp(A, C))
-        ),
-        "TAUT3": lambda A, B, C, S, T: jimp(jimp(JNot(A), JNot(B)), jimp(B, A)),
-        "APP": lambda A, B, C, S, T: jimp(
-            Assert(S, jimp(A, B)), jimp(Assert(T, A), Assert(App(S, T), B))
-        ),
-        "SUM_L": lambda A, B, C, S, T: jimp(Assert(S, A), Assert(Sum(S, T), A)),
-        "SUM_R": lambda A, B, C, S, T: jimp(Assert(T, A), Assert(Sum(S, T), A)),
+    A, B, C, S, T = FMeta("A"), FMeta("B"), FMeta("C"), TMeta("S"), TMeta("T")
+    patterns = {
+        "TAUT1": jimp(A, jimp(B, A)),
+        "TAUT2": jimp(jimp(A, jimp(B, C)), jimp(jimp(A, B), jimp(A, C))),
+        "TAUT3": jimp(jimp(JNot(A), JNot(B)), jimp(B, A)),
+        "APP": jimp(Assert(S, jimp(A, B)), jimp(Assert(T, A), Assert(App(S, T), B))),
+        "SUM_L": jimp(Assert(S, A), Assert(Sum(S, T), A)),
+        "SUM_R": jimp(Assert(T, A), Assert(Sum(S, T), A)),
     }
-    metas = (FMeta("A"), FMeta("B"), FMeta("C"), TMeta("S"), TMeta("T"))
-    return tuple(Scheme(n, build, build(*metas)) for n, build in builders.items())
+    return tuple(Scheme(n, p) for n, p in patterns.items())
 
 
 _SCHEMES = _make_schemes()
@@ -169,6 +163,66 @@ def unify(x, y, subst):
     return subst if x == y else None
 
 
+def unify_scheme(p, y, subst, ren):
+    """``unify`` of y with the scheme pattern p renamed apart, without
+    building the renamed instance; None on failure.  ren, empty at the
+    top, maps each pattern metavariable met so far to the goal part it
+    stands for.  A ground pattern, a finite entry, is its own instance."""
+    cls = type(p)
+    if cls is FMeta or cls is TMeta:
+        seen = ren.get(p)
+        if seen is None:
+            ren[p] = y
+            return subst
+        return unify(seen, y, subst)
+    other = type(y)
+    while other is FMeta or other is TMeta:
+        bound = subst.get(y)
+        if bound is None:
+            piece = _instantiate(p, ren)
+            if _occurs(y, piece, subst):
+                return None
+            out = dict(subst)
+            out[y] = piece
+            return out
+        y, other = bound, type(bound)
+    if p is y:
+        return subst
+    if other is not cls:
+        return None
+    if cls is JNot:
+        return unify_scheme(p.body, y.body, subst, ren)
+    if cls is JAnd or cls is App or cls is Sum:
+        s = unify_scheme(p.left, y.left, subst, ren)
+        return None if s is None else unify_scheme(p.right, y.right, s, ren)
+    if cls is Assert:
+        s = unify_scheme(p.term, y.term, subst, ren)
+        return None if s is None else unify_scheme(p.body, y.body, s, ren)
+    if cls is Bang:
+        return unify_scheme(p.inner, y.inner, subst, ren)
+    return subst if p == y else None
+
+
+def _instantiate(p, ren):
+    """The pattern piece p under ren, which gains a fresh metavariable
+    for each of p's that it lacks."""
+    cls = type(p)
+    if cls is FMeta or cls is TMeta:
+        meta = ren.get(p)
+        if meta is None:
+            meta = ren[p] = cls(p.name)
+        return meta
+    if cls is JNot:
+        return JNot(_instantiate(p.body, ren))
+    if cls is JAnd or cls is App or cls is Sum:
+        return cls(_instantiate(p.left, ren), _instantiate(p.right, ren))
+    if cls is Assert:
+        return Assert(_instantiate(p.term, ren), _instantiate(p.body, ren))
+    if cls is Bang:
+        return Bang(_instantiate(p.inner, ren))
+    return p
+
+
 def match(pattern, ground):
     """One-sided match of a scheme pattern against a ground formula: the
     unifier binding the pattern's metavariables, or None on mismatch."""
@@ -193,26 +247,30 @@ class ConstantSpec:
 
     schematic: dict = field(default_factory=dict)
     finite: frozenset = field(default_factory=frozenset)
+    _patterns: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        patterns = {
+            c: tuple(_SCHEME_BY_NAME[n].pattern for n in sorted(names))
+            for c, names in self.schematic.items()
+        }
+        for c, phi in self.finite:
+            patterns[c] = patterns.get(c, ()) + (phi,)
+        object.__setattr__(self, "_patterns", patterns)
 
     def schemes_of(self, cname: str):
         return self.schematic.get(cname, frozenset())
 
-    def axioms(self, cname: str):
-        """Lazily, the formulas the constant cname justifies: each of its
-        schemes in sorted-name order, built on fresh metavariables, so
-        that no two instances share one, then its finite entries."""
-        for sname in sorted(self.schemes_of(cname)):
-            yield _SCHEME_BY_NAME[sname].build(
-                FMeta(), FMeta(), FMeta(), TMeta(), TMeta()
-            )
-        for c, phi in self.finite:
-            if c == cname:
-                yield phi
+    def patterns(self, cname: str):
+        """What the constant cname justifies, for ``unify_scheme``: the
+        shared pattern of each of its schemes in sorted-name order, then
+        its finite entries."""
+        return self._patterns.get(cname, ())
 
 
 def cs_contains(cs: ConstantSpec, cname: str, phi) -> bool:
     """Membership test: (cname, phi) in the specification, phi ground."""
-    return any(match(a, phi) is not None for a in cs.axioms(cname))
+    return any(unify_scheme(p, phi, {}, {}) is not None for p in cs.patterns(cname))
 
 
 def validate(

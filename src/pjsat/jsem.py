@@ -8,10 +8,11 @@ sum conditions, and the atom is satisfiable iff none of its negated
 assertions falls inside that closure.  Membership is decided by a
 goal-directed search over the term structure, with first-order unification
 over the two-sorted pattern language (formula and term metavariables).
-A constant's formulas come from ``ConstantSpec.axioms``.  Its scheme
-instances and each application step's antecedent are built on fresh
-metavariables, which equal only themselves, so every use of a scheme in
-a derivation is renamed apart from every other.
+A constant's formulas are ``ConstantSpec.patterns``: each scheme's shared
+pattern, which ``cspec.unify_scheme`` unifies with the goal renamed apart
+from every other use, building only the pieces that goal metavariables
+are bound to.  Each application step's antecedent is a fresh
+metavariable, which equals only itself.
 
 The filter is compiled once per formula (``jsat_test``): the search for a
 negated assertion reads only the positives on the terms it visits, so
@@ -25,9 +26,7 @@ partitions only the sign tuples that hold them true.
 
 from __future__ import annotations
 
-import itertools
-
-from .cspec import ConstantSpec, FMeta, unify
+from .cspec import ConstantSpec, FMeta, unify, unify_scheme
 from .syntax import (
     App,
     Assert,
@@ -53,19 +52,22 @@ def derives(positives, cs: ConstantSpec, t, phi, subst=None):
     evidence set of term t generated by the positive assertions, given as
     (term, body) pairs, and the constant spec cs.
 
-    Rules: (hyp) positives on exactly t; (cs) then ``cs.axioms`` of a
+    Rules: (hyp) positives on exactly t; (cs) then ``cs.patterns`` of a
     constant; (app) t = u.v via an implication with a fresh antecedent;
     (sum) either summand.  '!' and variables admit only (hyp).
     """
     if subst is None:
         subst = {}
-    candidates = (gamma for s, gamma in positives if s == t)
+    for s, gamma in positives:
+        if s == t:
+            s2 = unify(gamma, phi, subst)
+            if s2 is not None:
+                yield s2
     if isinstance(t, Const):
-        candidates = itertools.chain(candidates, cs.axioms(t.name))
-    for psi in candidates:
-        s2 = unify(psi, phi, subst)
-        if s2 is not None:
-            yield s2
+        for pattern in cs.patterns(t.name):
+            s2 = unify_scheme(pattern, phi, subst, {})
+            if s2 is not None:
+                yield s2
     if isinstance(t, App):
         antecedent = FMeta()
         implication = JNot(JAnd(antecedent, JNot(phi)))

@@ -7,7 +7,15 @@ import random
 import pytest
 
 from pjsat import jsem
-from pjsat.cspec import ConstantSpec, FMeta, TMeta, builtin_schemes, default_cs
+from pjsat.cspec import (
+    ConstantSpec,
+    FMeta,
+    TMeta,
+    builtin_schemes,
+    default_cs,
+    load_cs,
+    unify_scheme,
+)
 from pjsat.jsem import (
     BasisMismatchError,
     atom_jsat,
@@ -91,6 +99,32 @@ def subst_apply(pat, subst):
     raise TypeError(f"bad pattern: {pat!r}")
 
 
+def build(scheme, *args):
+    """The scheme's instance for its metavariables A, B, C, S, T := args."""
+    by_name = dict(zip("ABCST", args))
+
+    def go(p):
+        if isinstance(p, (FMeta, TMeta)):
+            return by_name[p.name]
+        if isinstance(p, (Prop, Const, Var)):
+            return p
+        return type(p)(*(go(getattr(p, f.name)) for f in dataclasses.fields(p)))
+
+    return go(scheme.pattern)
+
+
+def chain_formula(n):
+    """C(n): P>=1/2 t0:p1, then P>=1/2 ti:(pi -> p(i+1)) for i = 1..n,
+    then ~P>=1/2 (tn.(...(t1.t0))):p(n+1)."""
+    term = "t0"
+    for i in range(1, n + 1):
+        term = f"(t{i}.{term})"
+    literals = ["P>=1/2 t0:p1"]
+    literals += [f"P>=1/2 t{i}:(p{i} -> p{i + 1})" for i in range(1, n + 1)]
+    literals.append(f"~P>=1/2 {term}:p{n + 1}")
+    return " & ".join(literals)
+
+
 class TestUnify:
     def test_single_binding(self):
         A = FMeta("A")
@@ -130,7 +164,9 @@ class TestUnify:
         # scheme instances on a shared pool of metavariables, unified with
         # _gen formulas and with instances whose arguments mix metavariables
         # of the same pool with _gen parts; each trial threads the
-        # substitution through two pairs, as a derivation does
+        # substitution through two pairs, as a derivation does.  Then the
+        # same for unify_scheme on the shared scheme patterns, against
+        # ref_unify on instances built on fresh metavariables
         rng = random.Random(28)
         pool_f = [FMeta(n) for n in "ABCD"]
         pool_t = [TMeta(n) for n in "ST"]
@@ -156,16 +192,21 @@ class TestUnify:
                 return rand_term(rng, depth=2)
             return rng.choice([App, Sum])(rng.choice(pool_t), rand_term(rng, depth=1))
 
+        def goal(x_scheme):
+            scheme = rng.choice([x_scheme] * 3 + schemes)
+            args = [formula_arg() for _ in range(3)] + [term_arg() for _ in range(2)]
+            return build(scheme, *args)
+
         def pair():
             x_scheme = rng.choice(schemes)
-            x = x_scheme.build(
-                *(rng.choice(pool_f) for _ in range(3)), *(rng.choice(pool_t) for _ in range(2))
+            x = build(
+                x_scheme,
+                *(rng.choice(pool_f) for _ in range(3)),
+                *(rng.choice(pool_t) for _ in range(2)),
             )
             if rng.random() < 0.3:
                 return x, rand_jformula(rng, depth=4)
-            scheme = rng.choice([x_scheme] * 3 + schemes)
-            args = [formula_arg() for _ in range(3)] + [term_arg() for _ in range(2)]
-            return x, scheme.build(*args)
+            return x, goal(x_scheme)
 
         found = failed = 0
         for _ in range(3000):
@@ -179,6 +220,60 @@ class TestUnify:
                 found += 1
                 assert subst_apply(x, got) == subst_apply(y, got)
         assert found > 500 and failed > 500
+
+        def pattern_goal(scheme):
+            # a _gen formula, a bare pool metavariable, an implication whose
+            # sides share one (occurs-check traps for TAUT1), or an instance
+            r = rng.random()
+            if r < 0.2:
+                return rand_jformula(rng, depth=4)
+            if r < 0.3:
+                return rng.choice(pool_f)
+            if r < 0.4:
+                m = rng.choice(pool_f)
+                return jimp(m, rng.choice([m, JNot(m), jimp(formula_arg(), m)]))
+            return goal(scheme)
+
+        pattern_metas = {}
+        for scheme in schemes:
+            # renaming a pattern onto itself collects its metavariables
+            _renaming(scheme.pattern, scheme.pattern, pattern_metas.setdefault(scheme.name, {}))
+
+        found = failed = twice = 0
+        for _ in range(3000):
+            # half the trials use one scheme twice, so a unifier that let
+            # the first use's bindings reach the second would fail
+            first = rng.choice(schemes)
+            uses = (first, first if rng.random() < 0.5 else rng.choice(schemes))
+            twice += uses[0] is uses[1]
+            got = ref = {}
+            goals = []
+            for scheme in uses:
+                y = pattern_goal(scheme)
+                fresh = build(scheme, FMeta(), FMeta(), FMeta(), TMeta(), TMeta())
+                got = unify_scheme(scheme.pattern, y, got, {})
+                ref = ref_unify(fresh, y, ref)
+                assert (got is None) == (ref is None), (scheme.name, y)
+                if got is None:
+                    failed += 1
+                    break
+                found += 1
+                assert subst_apply(fresh, ref) == subst_apply(y, ref)
+                # under got, the goal is an instance of the pattern
+                image = subst_apply(y, got)
+                bind = unify(scheme.pattern, image, {})
+                assert bind is not None and set(bind) <= set(pattern_metas[scheme.name])
+                assert subst_apply(scheme.pattern, bind) == image
+                # and both unifiers give the goals the same image, up to
+                # a one-to-one renaming of metavariables
+                goals.append(y)
+                renaming = {}
+                assert all(
+                    _renaming(subst_apply(g, ref), subst_apply(g, got), renaming)
+                    for g in goals
+                )
+                assert len(set(renaming.values())) == len(renaming)
+        assert found > 500 and failed > 500 and twice > 1000
 
 
 class TestDerives:
@@ -259,6 +354,15 @@ class TestRenamingApart:
 
 
 class TestAtomJsat:
+    def test_finite_entry_under_application(self):
+        # k justifies one ground formula, met as the left of an
+        # application whose antecedent is t's
+        cs = load_cs("[finite]\nk : p1 -> (p2 -> p1)\n")
+        goal = "(k.t):(p2 -> p1)"
+        assert not atom_jsat(atom_from(["t:p1"], [goal]), cs)
+        assert atom_jsat(atom_from([], ["t:p1", goal]), cs)
+        assert atom_jsat(atom_from(["t:p2"], [goal]), cs)
+
     def test_unrelated_terms_satisfiable(self):
         a = atom_from(["t:p1"], ["s:p2"])
         assert atom_jsat(a, CS0)
@@ -539,34 +643,54 @@ class TestAgainstBottomUpClosure:
     # cspec
 
     @staticmethod
-    def compare(monkeypatch, family):
-        """Check jsat_test against the closure on every sign tuple of each
-        formula of the seed-1 workload that has an assertion in its basis;
-        count the formulas, the tuples and the J-unsatisfiable tuples."""
+    def bench_module(monkeypatch, name):
         monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
-        checks = importlib.import_module("checks")
-        workloads = importlib.import_module("workloads")
+        return importlib.import_module(name)
+
+    @classmethod
+    def compare(cls, monkeypatch, texts):
+        """Check jsat_test against the closure on every sign tuple of each
+        formula, given as (name, text) pairs, that has an assertion in its
+        basis; count the formulas, the tuples and the J-unsatisfiable
+        tuples."""
+        checks = cls.bench_module(monkeypatch, "checks")
         cs = default_cs()
         formulas = tuples = unsat = 0
-        for instance in getattr(workloads, family)(1):
-            basis = basis_of(parse_pformula(instance.text))
+        for name, text in texts:
+            basis = basis_of(parse_pformula(text))
             if not any(isinstance(b, Assert) for b in basis):
                 continue
             formulas += 1
             jsat = jsat_test(basis, cs)
             for signs in itertools.product((True, False), repeat=len(basis)):
                 expected = checks.atom_jsat(dict(zip(basis, signs)))
-                assert jsat(signs) == expected, (instance.name, signs)
+                assert jsat(signs) == expected, (name, signs)
                 tuples += 1
                 unsat += not expected
         return formulas, tuples, unsat
 
+    @classmethod
+    def compare_family(cls, monkeypatch, family):
+        """compare over the formulas of the seed-1 workload family."""
+        instances = getattr(cls.bench_module(monkeypatch, "workloads"), family)(1)
+        return cls.compare(monkeypatch, [(i.name, i.text) for i in instances])
+
     def test_deep_evidence_sign_tuples(self, monkeypatch):
         # the formulas of bench/workloads.evidence_family nest applications
         # of (c_taut1+c_taut2) up to four deep
-        assert self.compare(monkeypatch, "evidence") == (6, 960, 864)
+        assert self.compare_family(monkeypatch, "evidence") == (6, 960, 864)
 
     def test_small_workload_sign_tuples(self, monkeypatch):
         # random formulas over the constants s, t, u, c_app, c_sum_l and
         # c_sum_r, and the closure traps
-        assert self.compare(monkeypatch, "small") == (204, 2992, 420)
+        assert self.compare_family(monkeypatch, "small") == (204, 2992, 420)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_application_chain_sign_tuples(self, monkeypatch, n):
+        # C(n): the negated assertion has one forcing set, the n+1
+        # positives, and is derived from them by (hyp) at every leaf.  Its
+        # basis is the n+2 assertions and p1..p(n+1), and a tuple is
+        # J-unsatisfiable iff it holds the forcing set and negates the chain
+        assert self.compare(monkeypatch, [(f"C({n})", chain_formula(n))]) == (
+            1, 2 ** (2 * n + 3), 2 ** (n + 1),
+        )

@@ -14,7 +14,6 @@ from pjsat.syntax import (
     App,
     Assert,
     AtLeast,
-    Atom,
     Bang,
     Const,
     EnumerationLimitError,
