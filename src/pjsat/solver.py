@@ -14,28 +14,27 @@ it, and each one is translated into an exact linear system over those
 sign tuples' weights, whose 0/1 coefficients are read off the
 signatures.  An assignment with a dead literal, or with two literals
 whose bounds leave no room, builds none: a clash table read off the
-columns before the walk refutes it, and of any other system it keeps
-the rows the simplex gets, the total row and the tightest bound per
-column and direction, which imply the rest.  Third, the model is read
-off the first feasible system's solution.  No assignment past the first
-feasible one is built.  The simplex returns a basic solution, so the
-model has at most one world per row and weights of certified size;
-``certify_model`` checks both on every model.
+columns before the walk, one int mask per column, refutes it, and of
+any other system it keeps the rows the simplex gets, the total row and
+the tightest bound per column and direction, which imply the rest.
+Third, the model is read off the first feasible system's solution.  No
+assignment past the first feasible one is built.  The simplex returns a
+basic solution, so the model has at most one world per row and weights
+of certified size; ``certify_model`` checks both on every model.
 
 The formula over the truth values of its probability literals is
 evaluated by one compiled test, ``syntax.truth_test``, three-valued over
 the walk's partial assignments and two-valued in the model check, which
 also measures each literal body over an atom's signs with the same
-compiled test.
+compiled test, built over the model's basis.
 
 Each decision compiles its formula once (``_Form``).  The form walks
 nothing itself: it reads the probability literals and ``size_p`` from
 ``syntax.p_level`` and the basis from ``syntax.basis_of`` over the
-literals' bodies, and compiles the P-level test, the J-filter and, for
-the model check, the body tests from them.  The certificate reads the
-decision's compiled form, so a model is checked with the J-filter that
-produced it, and with body tests compiled apart from the bitsets that
-made its columns.
+literals' bodies, and compiles the P-level test and the J-filter from
+them.  The certificate reads the decision's compiled form, so a model
+is checked with the J-filter that produced it, and with body tests
+compiled apart from the bitsets that made its columns.
 """
 
 from __future__ import annotations
@@ -105,9 +104,7 @@ class _Form:
     distinct bodies (``bodies``, in first-occurrence order) gives the
     basis.  Compiled from them once, after the cap check: the P-level
     ``holds`` and, given cs, ``jsat_test(basis, cs)``; and, when first
-    asked for, a ``truth_test`` per distinct body (``tests``, in ``bodies``
-    order), which only the model check reads, and ``weight_bound``,
-    ``weight_size_bound(f)``.
+    asked for, ``weight_bound``, ``weight_size_bound(f)``.
     """
 
     def __init__(self, f: PFormula, cs: ConstantSpec | None = None, cap: int | None = None):
@@ -120,11 +117,6 @@ class _Form:
         self.jsat = None if cs is None else jsat_test(self.basis, cs)
 
     @cached_property
-    def tests(self) -> list:
-        index = {b: i for i, b in enumerate(self.basis)}
-        return [truth_test(body, index) for body in self.bodies]
-
-    @cached_property
     def weight_bound(self) -> int:
         return p_level_weight_bound(self.occs, self.size)
 
@@ -135,20 +127,17 @@ def check_model(model: SmallModel, f: PFormula, *, form=None) -> bool:
 
     Raises ``BasisMismatchError`` unless f's basis is inside
     ``model.basis`` and every world's atom is over ``model.basis``.  Each
-    distinct body is measured by one test over that basis: the tests of
-    ``form``, f's compiled form (built here when not given), when the
-    model is over the form's basis, and otherwise a ``truth_test`` per
-    body compiled once over ``model.basis``."""
+    distinct body of ``form``, f's compiled form (built here when not
+    given), is measured by one ``truth_test`` compiled over
+    ``model.basis``, once per call."""
     if form is None:
         form = _Form(f)
     if not set(form.basis) <= set(model.basis):
         raise BasisMismatchError("model basis does not cover the formula")
     if any(atom.basis != model.basis for atom, _ in model.worlds):
         raise BasisMismatchError("world atoms are not over the model basis")
-    tests = form.tests
-    if model.basis != form.basis:
-        index = {b: i for i, b in enumerate(model.basis)}
-        tests = [truth_test(body, index) for body in form.bodies]
+    index = {b: i for i, b in enumerate(model.basis)}
+    tests = [truth_test(body, index) for body in form.bodies]
     measure = {
         body: sum((w for atom, w in model.worlds if test(atom.signs)), Fraction(0))
         for body, test in zip(form.bodies, tests)
@@ -290,9 +279,6 @@ def _signatures(form):
     return [signs for _, signs, _ in reps], dict(zip(form.bodies, columns))
 
 
-_FLIP = bytes([1, 0]) + bytes(254)  # a 0/1 column's bytes to its complement's
-
-
 def _kept_rows(occs, columns):
     """A function of the truth assignments to occs: None when the
     assignment's system has a dead literal or two literals whose bounds
@@ -303,14 +289,18 @@ def _kept_rows(occs, columns):
 
     A literal's row is ``a.x >= s`` when it is True and ``a.x < s`` when
     it is False, a its body's column, beside the total row ``1.x = 1``.
-    Dead: False on an all-ones column; on an all-zeros column, True with
-    s > 0 or False with s = 0.  No room, on the other columns, each with
-    an int id and the id of its complement (1 minus it): one id's largest
-    lower bound is at least its smallest upper bound, or two
-    complementary ids' lower bounds sum past 1, or their upper bounds sum
-    to 1 or less.
+    Each column is read as one int mask, a byte per representative: equal
+    masks are one column, and ``mask ^ ones`` is its complement (1 minus
+    it), ``ones`` the all-ones column's mask.  The walk keys bounds by
+    small ints named after the masks, as an int's hash is not kept and a
+    mask's takes a pass over its bytes.  Dead: False on the all-ones
+    column; on the all-zeros column, mask 0, True with s > 0 or False
+    with s = 0.  No room, on the other columns: one mask's largest lower
+    bound is at least its smallest upper bound, or two complementary
+    masks' lower bounds sum past 1, or their upper bounds sum to 1 or
+    less.
 
-    The kept rows are the total row, then per id and direction the
+    The kept rows are the total row, then per mask and direction the
     tightest bound (the first on ties), in its first row's place.  The
     rows left out, looser bounds and literals that hold on all-ones or
     all-zeros columns, are implied, so a Farkas certificate over the kept
@@ -325,38 +315,39 @@ def _kept_rows(occs, columns):
     complementary columns, less the total row, sum to ``0 >= s + t - 1``,
     and upper bounds to ``0 < s + t - 1``."""
     one = math.lcm(*(occ.threshold.denominator for occ in occs))  # a threshold s is s * one
-    ids = {}  # each distinct column, as bytes, to its id
-    for column in columns.values():
-        ids.setdefault(bytes(column), len(ids))
-    # an id no column has stands for a missing complement
-    complement = {c: ids.get(column.translate(_FLIP), len(ids)) for column, c in ids.items()}
+    ones = int.from_bytes(bytes([1]) * len(next(iter(columns.values()))), "big")
+    name = {}  # a mask to 4k, its complement to 4k + 2, k the first literal on either
     literals = []
-    for occ in occs:
-        column, s = bytes(columns[occ.body]), occ.threshold
-        s = s.numerator * (one // s.denominator)
-        dead = False if 0 not in column else s > 0 if 1 not in column else None
-        literals.append((ids[column], s, dead))
+    for k, occ in enumerate(occs):
+        mask = int.from_bytes(bytes(columns[occ.body]), "big")
+        if mask not in name:
+            name[mask], name[mask ^ ones] = 4 * k, 4 * k + 2
+        s = occ.threshold.numerator * (one // occ.threshold.denominator)
+        dead = False if mask == ones else s > 0 if mask == 0 else None
+        literals.append((name[mask], s, dead))
     above = one + 1  # no upper bound, as -1 is no lower bound: neither decides a test
 
     def kept_rows(bits):
-        # keyed by c for id c's lower bound, by ~c for its upper: the
-        # tightest bound and its row, which keeps the first row's place
+        # keyed by a mask's name for its lower bound, the name + 1 for its
+        # upper, so key ^ 1 is the other direction and key ^ 2 the
+        # complement's: the tightest bound and its row, which keeps the
+        # first row's place
         bound, row = {}, {}
         for i, ((c, s, dead), bit) in enumerate(zip(literals, bits), 1):
             if dead is not None:
                 if bit == dead:
                     return None
                 continue
-            key = c if bit else ~c
+            key = c if bit else c + 1
             old = bound.get(key)
             if old is None or (s > old if bit else s < old):
                 bound[key] = s
                 row[key] = i
-        for c, s in bound.items():
-            if c >= 0:
-                if s >= bound.get(~c, above) or s + bound.get(complement[c], -1) > one:
+        for key, s in bound.items():
+            if key & 1 == 0:
+                if s >= bound.get(key + 1, above) or s + bound.get(key ^ 2, -1) > one:
                     return None
-            elif s + bound.get(~complement[~c], above) <= one:
+            elif s + bound.get(key ^ 2, above) <= one:
                 return None
         return [0, *row.values()]
 

@@ -514,6 +514,28 @@ class TestClashTest:
         refuted, tried = self.compare(formulas)
         assert refuted > 700 and tried > 4800  # 729 of 4902
 
+    def test_mask_edge_cases(self):
+        # each text with its number of representatives, the bytes of each
+        # column's mask: constant bodies alone (one representative, so the
+        # all-ones mask is 1), complementary bodies whose lower bounds sum
+        # past 1 and whose upper bounds sum to 1 or less, bodies whose
+        # complement is no column, and more than 8 representatives
+        cases = {
+            "P>=1/2 (p1 | ~p1) & ~P>=1/3 (p1 & ~p1)": 1,
+            "~P>=1/2 (p1 | ~p1) & P>=0 (p1 & ~p1)": 1,
+            "P>=2/3 p1 & P>=1/2 ~p1": 2,
+            "~P>=1/2 p1 & ~P>=1/2 ~p1": 2,
+            "P>=2/3 p1 & ~P>=1/2 (p1 | p2)": 3,
+            "P>=2/3 p1 & P>=2/3 ~(p1 | p2)": 3,
+            "~P>=1/2 p1 & P>=1/2 (p1 | p2) & ~P>=1/3 (p1 | p2)": 3,
+            "~(~P>=1/2 p1 & P>=1/2 ~p1) & P>=1/3 p2 & ~(~P>=2/3 p3 & ~P>=1/2 ~p3)"
+            " & ~P>=1/4 p4 & ~(~P>=1/2 ~p1 & P>=1/3 (p4 & ~p1))": 16,
+        }
+        formulas = [parse_pformula(text) for text in cases]
+        for f, reps in zip(formulas, cases.values()):
+            assert len(_signatures(_Form(f, CS))[0]) == reps, f
+        assert self.compare(formulas) == (10, 19)
+
 
 class TestFrontier:
     """Instances of bench/frontier.py past every workload, asserted by

@@ -65,3 +65,61 @@ def test_unused_import_check():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources):
+    """(module, name) for each private name, one leading underscore and
+    not a dunder, that a module binds at its top level and none of the
+    modules reads, as a name or as an attribute; ``sources`` maps each
+    module to its source text."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [
+                (module, name)
+                for name in bound
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return sorted(unread)
+
+
+def test_unread_private_name_check():
+    sources = {
+        "a": (
+            "__all__ = ['public']\n"
+            "_FLIP = bytes(256)\n"
+            "_TABLE: dict = {}\n"
+            "_used, _pair = 1, 2\n"
+            "class _Shape:\n"
+            "    _size = 0\n"
+            "def _helper():\n"
+            "    _local = 1\n"
+            "    return _local\n"
+            "def public(x):\n"
+            "    x._TABLE = _used\n"
+            "    return _Shape\n"
+        ),
+        "b": "from a import _helper\nimport a\nprint(_helper(), a._pair)\n",
+    }
+    assert unread_private_names(sources) == [("a", "_FLIP"), ("a", "_TABLE")]
+
+
+def test_no_unread_private_names():
+    modules = sorted((ROOT / "src/pjsat").glob("*.py"))
+    sources = {p.name: p.read_text(encoding="utf-8") for p in modules}
+    assert unread_private_names(sources) == []
