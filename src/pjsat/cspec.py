@@ -179,9 +179,11 @@ def unify_scheme(p, y, subst, ren):
     while other is FMeta or other is TMeta:
         bound = subst.get(y)
         if bound is None:
-            piece = _instantiate(p, ren)
-            if _occurs(y, piece, subst):
-                return None
+            read = []
+            piece = _instantiate(p, ren, read)
+            for v in read:
+                if _occurs(y, v, subst):
+                    return None
             out = dict(subst)
             out[y] = piece
             return out
@@ -203,23 +205,28 @@ def unify_scheme(p, y, subst, ren):
     return subst if p == y else None
 
 
-def _instantiate(p, ren):
+def _instantiate(p, ren, read):
     """The pattern piece p under ren, which gains a fresh metavariable
-    for each of p's that it lacks."""
+    for each of p's that it lacks.  read gains each value the piece takes
+    from ren: goal parts and metavariables of earlier pieces, which alone
+    can hold a goal metavariable, so the occurs-check walks only them
+    (and any metavariable this call made and meets again)."""
     cls = type(p)
     if cls is FMeta or cls is TMeta:
         meta = ren.get(p)
         if meta is None:
             meta = ren[p] = cls(p.name)
+        else:
+            read.append(meta)
         return meta
     if cls is JNot:
-        return JNot(_instantiate(p.body, ren))
+        return JNot(_instantiate(p.body, ren, read))
     if cls is JAnd or cls is App or cls is Sum:
-        return cls(_instantiate(p.left, ren), _instantiate(p.right, ren))
+        return cls(_instantiate(p.left, ren, read), _instantiate(p.right, ren, read))
     if cls is Assert:
-        return Assert(_instantiate(p.term, ren), _instantiate(p.body, ren))
+        return Assert(_instantiate(p.term, ren, read), _instantiate(p.body, ren, read))
     if cls is Bang:
-        return Bang(_instantiate(p.inner, ren))
+        return Bang(_instantiate(p.inner, ren, read))
     return p
 
 

@@ -14,9 +14,13 @@ All nodes are frozen dataclasses, so values are hashable and shareable;
 each composite node computes its hash once and keeps it (``_node``).
 Thresholds are stored as reduced ``fractions.Fraction`` in [0, 1].
 
-Parsing is one findall over the text, then recursive descent over the
-token strings; '(' in a justification formula is tried as a term before
-':' only when the run of term tokens after it is balanced and ends at ':'.
+Parsing is one findall of a flat pattern over the text, which reads
+symbols, ASCII words, numerals (any decimal digits), comments, and any
+other non-space character as a token of its own, then recursive descent
+over the token strings, which accepts no such stray character; a failed
+parse rescans the text for the error to report.  '(' in a justification
+formula is tried as a term before ':' only when the run of term tokens
+after it is balanced and ends at ':'.
 
 Boolean structure is compiled once (``truth_test``); every enumeration of
 truth values, P-level or sign tuple, is the one walk ``assignments``,
@@ -53,10 +57,11 @@ class OutputLimitError(RuntimeError):
 def _node(cls):
     """A frozen dataclass whose hash is computed once, on first use, and
     kept on the instance outside its fields, so a lookup no longer
-    re-hashes the whole subtree.  Equality, repr and fields are the
-    dataclass's own; pickling drops the kept hash, since string hashes
-    differ between processes."""
-    cls = dataclass(frozen=True)(cls)
+    re-hashes the whole subtree.  The hash computed is the class's own
+    ``__hash__`` where its body defines one, else the dataclass's.
+    Equality, repr and fields are the dataclass's own; pickling drops the
+    kept hash, since string hashes differ between processes."""
+    cls = dataclass(frozen=True)(cls)  # keeps a __hash__ the body defines
     fields_hash = cls.__hash__
 
     def __hash__(self):
@@ -150,6 +155,12 @@ class AtLeast:
         if not 0 <= t.numerator <= t.denominator:
             raise ValueError(f"threshold {t} outside [0,1]")
 
+    def __hash__(self):
+        """Over the reduced numerator and denominator: equal thresholds, int
+        or Fraction, hash equal, with no ``Fraction.__hash__`` (a modular inverse)."""
+        t = self.threshold
+        return hash((t.numerator, t.denominator, self.body))
+
 
 PNot, PAnd = JNot, JAnd
 PFormula = AtLeast | JNot | JAnd
@@ -210,11 +221,8 @@ pformula_str = jformula_str
 
 # --- lexer / parser ---
 
-_SPACE_RE = re.compile(r"\s+|\#[^\n]*")
-_TOKEN_RE = re.compile(  # whitespace and comments, then a token or none
-    rf"""(?:{_SPACE_RE.pattern})*
-    ( P>= | P< | -> | p[0-9]+(?![A-Za-z0-9_]) | x[0-9]+(?![A-Za-z0-9_])
-    | [A-Za-z_][A-Za-z0-9_]* | \d+ | [~&():.+!/|] )?""", re.VERBOSE)
+_SCAN = re.compile(r"P>=|P<|->|[A-Za-z_][A-Za-z0-9_]*|\d+|\#[^\n]*|\S")
+_SYMBOLS = frozenset(("P>=", "P<", "->", *"~&():.+!/|"))
 
 
 class _Error(Exception):
@@ -223,23 +231,27 @@ class _Error(Exception):
 
 def _fail(text, message=None, index=0):
     """Raise the ParseError for text, found by rescanning it: its first stray
-    character or numeral past the int-string limit, else message at the
-    index-th token (the text's end past the last); else return."""
+    character (a token of the scan that is no symbol, numeral or ASCII
+    word) or numeral past the int-string limit, else message at the
+    index-th token, comments skipped (the text's end past the last); else
+    return."""
     pos = len(text)
-    for n, m in enumerate(_TOKEN_RE.finditer(text)):
-        tok = m.group(1)
-        if tok is None:  # a stray character, or the end of the text
-            if m.end() < len(text):
-                raise ParseError(f"unexpected character {text[m.end()]!r}", m.end())
-            break
+    n = 0
+    for m in _SCAN.finditer(text):
+        tok = m.group()
+        if tok[0] == "#":
+            continue
         digits = tok[1:] if tok[0] in "px" else tok
         if digits.isdecimal():
             try:
                 int(digits)
             except ValueError:
-                raise ParseError("numeral too long", m.start(1)) from None
+                raise ParseError("numeral too long", m.start()) from None
+        elif not (tok in _SYMBOLS or tok.isascii() and tok.isidentifier()):
+            raise ParseError(f"unexpected character {tok!r}", m.start())
         if n == index:
-            pos = m.start(1)
+            pos = m.start()
+        n += 1
     if message is not None:
         raise ParseError(message, pos) from None
 
@@ -273,7 +285,7 @@ def _tprim(toks, i):
     if tok == "(":
         t, i = _term(toks, i + 1)
         return t, _expect(toks, i, ")")
-    if tok.isidentifier() and not (tok[0] == "p" and tok[1:].isdecimal()):
+    if tok.isascii() and tok.isidentifier() and not (tok[0] == "p" and tok[1:].isdecimal()):
         if tok[0] == "x" and tok[1:].isdecimal():
             return Var(int(tok[1:])), i + 1
         return Const(tok), i + 1
@@ -288,7 +300,7 @@ def _assertion_at(toks, i):
         k += 1
     j, depth, low = k, 0, 0  # depth after toks[k:j], and its least value
     while (tok := toks[j]) in ("(", ")", ".", "+", "!") or (
-        tok.isidentifier() and not (tok[0] == "p" and tok[1:].isdecimal())
+        tok.isascii() and tok.isidentifier() and not (tok[0] == "p" and tok[1:].isdecimal())
     ):
         depth += (tok == "(") - (tok == ")")
         low = min(low, depth)
@@ -324,7 +336,7 @@ def _jfactor(toks, i, ahead=None):
         return Prop(int(tok[1:])), i + 1
     if tok == "(" and ahead is None:  # a term before ':', or a parenthesized formula
         ahead = _assertion_at(toks, i)
-    if tok.isidentifier() or tok == "!" or i == ahead:
+    if tok.isascii() and tok.isidentifier() or tok == "!" or i == ahead:
         try:
             t, j = _term(toks, i)
             f, j = _jfactor(toks, _expect(toks, j, ":"))
@@ -370,13 +382,21 @@ def _pfactor(toks, i):
     return (f if tok == "P>=" else JNot(f)), j
 
 
+def _tokens(text):
+    """The token strings of one findall over text, comments dropped and ""
+    appended for its end; a stray character is a token of its own."""
+    toks = _SCAN.findall(text)
+    if "#" in text:
+        toks = [tok for tok in toks if tok[0] != "#"]
+    toks.append("")
+    return toks
+
+
 def _parse(text, rule):
-    """Parse the whole text by rule over the tokens of one findall: a stray
-    character shows as a shortfall of their total length against the text
-    without spaces and comments.  '(' tries a term where ``_assertion_at`` says."""
-    toks = _TOKEN_RE.findall(text)
-    if len("".join(toks)) != len(_SPACE_RE.sub("", text)):
-        _fail(text)
+    """Parse the whole text by rule over its ``_tokens``.  No rule accepts
+    a stray character, so one fails the descent, and ``_fail``'s rescan
+    reports it.  '(' tries a term where ``_assertion_at`` says."""
+    toks = _tokens(text)
     try:
         tree, i = rule(toks, 0)
         _expect(toks, i, "")

@@ -4,7 +4,8 @@ Nothing here reuses the solution paths it checks: feasibility is decided
 by Fourier-Motzkin elimination, formula evaluation by exhaustive truth
 tables, atom satisfiability by bounded forward saturation of the
 evidence closure, parsing by the earlier tokenizer and parser, which
-backtrack by exception, unification by the earlier recursive unifier,
+backtrack by exception, the parser's token scan by the earlier scan with
+its length check, unification by the earlier recursive unifier,
 the solver's choice of tableau rows by presolve rules written out on
 their own, and the clash table by those rules and a test of every pair
 of rows.
@@ -479,6 +480,25 @@ def _tokenize(text):
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
     tokens.append(("eof", "", len(text), None))
     return tokens
+
+
+_SPACE_RE = re.compile(r"\s+|\#[^\n]*")
+_SCAN_RE = re.compile(  # whitespace and comments, then a token or none
+    rf"""(?:{_SPACE_RE.pattern})*
+    ( P>= | P< | -> | p[0-9]+(?![A-Za-z0-9_]) | x[0-9]+(?![A-Za-z0-9_])
+    | [A-Za-z_][A-Za-z0-9_]* | \d+ | [~&():.+!/|] )?""", re.VERBOSE)
+
+
+def ref_tokens(text):
+    """The token strings of the parser's earlier scan, one findall, when
+    their total length is that of the text without spaces and comments;
+    else the position of its first stray character, an int."""
+    toks = _SCAN_RE.findall(text)
+    if len("".join(toks)) == len(_SPACE_RE.sub("", text)):
+        return [tok for tok in toks if tok]
+    for m in _SCAN_RE.finditer(text):
+        if m.group(1) is None:
+            return m.end()
 
 
 class _Parser:

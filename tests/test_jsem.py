@@ -160,6 +160,17 @@ class TestUnify:
         assert a == a and a != b and TMeta("S") != TMeta("S")
         assert len({a: 1, b: 2}) == 2
 
+    def test_scheme_occurs_check_reads_earlier_pieces(self):
+        # ~A is built for z, so A stands for a fresh metavariable A'; A then
+        # meets ~y, binding A' to it; the ~A built for y holds A', so y
+        # would occur in its own binding
+        A, y, z = FMeta("A"), FMeta("y"), FMeta("z")
+        pattern = JAnd(JAnd(JNot(A), A), JNot(A))
+        goal = JAnd(JAnd(z, JNot(y)), y)
+        assert unify_scheme(pattern, goal, {}, {}) is None
+        fresh = FMeta()
+        assert ref_unify(JAnd(JAnd(JNot(fresh), fresh), JNot(fresh)), goal, {}) is None
+
     def test_matches_recursive_reference(self):
         # scheme instances on a shared pool of metavariables, unified with
         # _gen formulas and with instances whose arguments mix metavariables

@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,15 @@ SOURCES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 def test_parses_as_python_3_10(path):
     # pyproject.toml promises Python >= 3.10; no newer grammar may slip in
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_compiles_without_warnings(path):
+    # an invalid escape such as "\d" outside a raw string is a
+    # DeprecationWarning on 3.10/3.11 and a SyntaxWarning on 3.12+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
 def test_workflow_is_valid_yaml():

@@ -43,9 +43,10 @@ from pjsat.syntax import (
     weight_size_bound,
     within_cap,
 )
+from pjsat.syntax import _tokens
 
 from _gen import rand_atom_for, rand_jformula, rand_pformula, rand_term
-from _oracles import _tokenize as ref_tokenize, p_occurrences, ref_parse, tt_eval
+from _oracles import _tokenize as ref_tokenize, p_occurrences, ref_parse, ref_tokens, tt_eval
 
 
 def _outcome(parse, text):
@@ -193,6 +194,51 @@ class TestParsing:
             parse(text)
         assert str(exc.value) == f"{message} (at position {pos})"
         assert exc.value.pos == pos
+
+    def test_non_ascii_word_character_is_stray(self):
+        # 'é' is a str identifier, but no word of the language
+        with pytest.raises(ParseError) as exc:
+            parse_pformula("P>=1/2 é:p1")
+        assert str(exc.value) == "unexpected character 'é' (at position 7)"
+
+    def test_unicode_digits_are_a_numeral(self):
+        assert parse_pformula("P>=١٢/١٣ p1") == AtLeast(Fraction(12, 13), Prop(1))
+
+    def test_scan_matches_reference_scan(self):
+        # random runs of every token class, strays, Unicode digits and
+        # spaces, comments and a numeral past the int-string limit, joined
+        # with and without spaces so that tokens also run together
+        pieces = (
+            ["P>=", "P<", "->", "P", "p", "p1", "p12", "p12a", "x", "x3", "s", "c_taut1", "_t"]
+            + ["0", "12", "١٢", "٣", "7" * 5000]
+            + list("~&():.+!/|")
+            + ["$", ">", "-", "=", "é", "€"]
+            + ["#c\n", "# é $\n", "#"]
+        )
+        weights = [4] * 13 + [3] * 4 + [1] + [4] * 10 + [1] * 6 + [1] * 3
+        spaces = ["", "", " ", "  ", "\t", "\n", "\xa0"]
+        rng = random.Random(33)
+        clean = strays = 0
+        for _ in range(20000):
+            n = rng.randint(1, 12)
+            text = "".join(p + rng.choice(spaces) for p in rng.choices(pieces, weights, k=n))
+            ref = ref_tokens(text)
+            if not isinstance(ref, int):
+                assert _tokens(text) == ref + [""], text
+                clean += 1
+                continue
+            strays += 1
+            with pytest.raises(ParseError) as first:  # the earlier tokenizer's error
+                ref_tokenize(text)
+            if first.value.pos < ref:  # a numeral past the limit, reported first
+                assert first.value.args[0].startswith("numeral too long")
+            else:
+                assert str(first.value) == f"unexpected character {text[ref]!r} (at position {ref})"
+            for parse in (parse_pformula, parse_jformula, parse_term):
+                with pytest.raises(ParseError) as exc:
+                    parse(text)
+                assert str(exc.value) == str(first.value)
+        assert clean > 5000 and strays > 5000
 
     def test_nested_term_groups_before_colon_are_an_assertion(self):
         f = Assert(App(App(Const("s"), Const("t")), Const("u")), Prop(1))
@@ -645,10 +691,18 @@ class TestNodeHash:
         assert [f.name for f in dataclasses.fields(a)] == ["left", "right"]
         assert dataclasses.astuple(a.left)[0] == Fraction(1, 2)
 
+    def test_threshold_hash_over_its_value(self):
+        b = parse_jformula("t:(p1 & ~p2)")
+        for x, y in ((Fraction(2, 4), Fraction(1, 2)), (1, Fraction(1))):
+            f, g = AtLeast(x, b), AtLeast(y, b)
+            assert f == g
+            assert hash(f) == hash(g)
+
     def test_pickle_drops_kept_hash(self):
         a = parse_pformula(self.TEXT)
         hash(a)
         b = pickle.loads(pickle.dumps(a))
         assert b == a
-        assert "_hash" not in vars(b)
+        assert "_hash" not in vars(b) and "_hash" not in vars(b.left)  # b.left: an AtLeast
         assert hash(b) == hash(a)
+        assert hash(b.left) == hash(a.left)
