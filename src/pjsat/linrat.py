@@ -9,7 +9,8 @@ epsilon, runs only when some row is strict, and it continues on phase
 1's tableau, artificial columns and all.  It returns a basic solution,
 which the solver takes as its model.  Its tableau is fraction-free, on
 Python ints, after Edmonds (1967) and Bareiss (1968), with one row per
-input row.
+input row.  It checks its solution in ints over one common denominator;
+``Fraction``s are read only in input rows, made only for positive entries.
 ``shrink_solution`` turns any non-negative solution into a basic one
 with few positive entries and certified entry sizes: it pins every row
 at the solution's value, restricts the system to the solution's support
@@ -87,19 +88,23 @@ def satisfies(system: LinearSystem, values) -> bool:
     if len(values) != system.var_count:
         return False
     rows = [(*_integer_row(row.coeffs, row.rhs)[1:], row.rel) for row in system.rows]
-    return _satisfied(rows, [(j, v) for j, v in enumerate(values) if v])
+    d, nums = over_lcm([(v.numerator, v.denominator) for v in values])
+    return _satisfied(rows, [(j, v) for j, v in enumerate(nums) if v], d)
 
 
-def _satisfied(rows, support):
-    """Whether the values whose nonzero entries are the (column, value)
-    pairs in support are non-negative and satisfy the integer rows
-    (coeffs, rhs, rel).  The values are put over their common denominator
-    d, and each row's support entries are summed against d * rhs."""
-    if any(v < 0 for _, v in support):
-        return False
-    d = math.lcm(*(v.denominator for _, v in support))
-    support = [(j, v.numerator * (d // v.denominator)) for j, v in support]
-    return all(
+def over_lcm(pairs):
+    """The fractions n/q given as a collection of (n, q) pairs of ints,
+    q != 0, over one common denominator: (d, [n * (d // q)]), d > 0 the
+    lcm of the q."""
+    d = math.lcm(*(q for _, q in pairs))
+    return d, [n * (d // q) for n, q in pairs]
+
+
+def _satisfied(rows, support, d):
+    """Whether the values v / d (d > 0), given by their nonzero (column, v)
+    pairs in support, are non-negative and satisfy the integer rows
+    (coeffs, rhs, rel), each row's sum over support against d * rhs."""
+    return all(v > 0 for _, v in support) and all(
         _holds(sum(coeffs[j] * v for j, v in support), rel, d * rhs)
         for coeffs, rhs, rel in rows
     )
@@ -245,10 +250,12 @@ def feasible(system: LinearSystem):
     multiplied by the lcm of its denominators, so its starting basic
     entry is that scale.  Every read is invariant under the multiples:
     signs of reduced costs and of the objective, the test d_j == 0, a
-    cross-multiplied ratio test, and the basic values rhs_i / line_i[b].
-    ``Fraction`` appears only at the edges, where input rows are read and
-    the solution is returned; the solution is checked against every input
-    row, as scaled to ints.
+    cross-multiplied ratio test, and the basic values rhs_i / line_i[b],
+    each read as that pair of ints.  eps > 0 is read off its pair's sign.
+    Over the lcm d of their denominators, the values are checked
+    non-negative and against every input row, as scaled to ints.
+    ``Fraction``s are read only in the input rows and made only for the
+    positive entries of the returned solution.
     """
     n = system.var_count
     # each input row as ints, (scale, coeffs, rhs, rel)
@@ -289,15 +296,17 @@ def feasible(system: LinearSystem):
         _price_out(tableau, basis, [0] * n + [-1] + [0] * (width - n - 1))
         _run_simplex(tableau, basis, enterable)
 
-    x = [Fraction(0)] * (n + eps)
-    for i, b in enumerate(basis):
-        if b < n + eps:
-            x[b] = Fraction(tableau[i][-1], tableau[i][b])
-    if eps and x[n] <= 0:
+    # the nonzero basic values of the variables and eps, each as its pair (rhs, line[b])
+    basic = {b: (line[-1], line[b]) for b, line in zip(basis, tableau) if b < n + eps and line[-1]}
+    if eps and math.prod(basic.pop(n, (0, 1))) <= 0:  # eps is not positive
         return None
-    if not _satisfied([row[1:] for row in ints], [(j, v) for j, v in enumerate(x[:n]) if v]):
+    d, nums = over_lcm(basic.values())
+    if not _satisfied([row[1:] for row in ints], list(zip(basic, nums)), d):
         raise AssertionError("simplex produced an invalid solution")
-    return Solution(tuple(x[:n]))
+    x = [Fraction(0)] * n
+    for b, (rhs, p) in basic.items():
+        x[b] = Fraction(rhs, p)
+    return Solution(tuple(x))
 
 
 def integerize(system: LinearSystem):

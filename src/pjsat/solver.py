@@ -48,7 +48,7 @@ from functools import cached_property
 
 from .cspec import ConstantSpec
 from .jsem import BasisMismatchError, jsat_test
-from .linrat import LinearSystem, Rel, Row, feasible
+from .linrat import LinearSystem, Rel, Row, feasible, over_lcm
 from .syntax import (
     Assert,
     AtLeast,
@@ -66,7 +66,7 @@ from .syntax import (
     p_level,
     p_level_weight_bound,
     rat_str,
-    size_rat,
+    size_int,
     truth_test,
     within_cap,
 )
@@ -129,7 +129,8 @@ def check_model(model: SmallModel, f: PFormula, *, form=None) -> bool:
     ``model.basis`` and every world's atom is over ``model.basis``.  Each
     distinct body of ``form``, f's compiled form (built here when not
     given), is measured by one ``truth_test`` compiled over
-    ``model.basis``, once per call."""
+    ``model.basis``, once per call, as an exact int m over the worlds'
+    common denominator d: ``P(body) >= s`` is ``m * den(s) >= num(s) * d``."""
     if form is None:
         form = _Form(f)
     if not set(form.basis) <= set(model.basis):
@@ -138,18 +139,23 @@ def check_model(model: SmallModel, f: PFormula, *, form=None) -> bool:
         raise BasisMismatchError("world atoms are not over the model basis")
     index = {b: i for i, b in enumerate(model.basis)}
     tests = [truth_test(body, index) for body in form.bodies]
-    measure = {
-        body: sum((w for atom, w in model.worlds if test(atom.signs)), Fraction(0))
+    d, weights = over_lcm([(w.numerator, w.denominator) for _, w in model.worlds])
+    measure = {  # P(body) times d
+        body: sum(m for (atom, _), m in zip(model.worlds, weights) if test(atom.signs))
         for body, test in zip(form.bodies, tests)
     }
-    return form.holds([measure[occ.body] >= occ.threshold for occ in form.occs])
+    return form.holds([
+        measure[g.body] * g.threshold.denominator >= g.threshold.numerator * d for g in form.occs
+    ])
 
 
 def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec, *, form=None):
     """All small-model conditions, as a list of violation strings.
 
-    Checks world count, weight positivity and additivity to 1, weight
-    sizes against the certified bound, atom distinctness, per-world atom
+    Checks world count, weight positivity and additivity to 1 (an exact
+    int sum over the worlds' common denominator d, equal to d), weight
+    sizes against the certified bound, atom distinctness (of sign tuples,
+    as every world is over ``model.basis``), per-world atom
     satisfiability, and that the model satisfies the formula.  The weight
     sizes are checked against ``weight_size_bound(f)``, as read off the
     P-level of ``form``, f's compiled form under cs (built here when not
@@ -167,18 +173,16 @@ def certify_model(model: SmallModel, f: PFormula, cs: ConstantSpec, *, form=None
     problems = []
     if len(model.worlds) > form.size:
         problems.append(f"too many worlds: {len(model.worlds)} > {form.size}")
-    total = sum((w for _, w in model.worlds), Fraction(0))
-    if total != 1:
-        problems.append(f"weights sum to {rat_str(total)}, not 1")
+    d, weights = over_lcm([(w.numerator, w.denominator) for _, w in model.worlds])
+    if sum(weights) != d:
+        problems.append(f"weights sum to {rat_str(Fraction(sum(weights), d))}, not 1")
     for i, (atom, w) in enumerate(model.worlds):
-        if w <= 0:
+        if w.numerator <= 0:
             problems.append(f"world {i + 1} has non-positive weight {rat_str(w)}")
-        elif size_rat(w) > bound:
-            problems.append(
-                f"world {i + 1} weight {rat_str(w)} has size {size_rat(w)} > {bound}"
-            )
+        elif (size := size_int(w.numerator) + size_int(w.denominator)) > bound:
+            problems.append(f"world {i + 1} weight {rat_str(w)} has size {size} > {bound}")
     atoms = [a for a, _ in model.worlds]
-    if len(set(atoms)) != len(atoms):
+    if len({atom.signs for atom in atoms}) != len(atoms):
         problems.append("duplicate atom across worlds")
     jsat = form.jsat if model.basis == form.basis else jsat_test(model.basis, cs)
     for i, atom in enumerate(atoms):
@@ -396,7 +400,7 @@ def solve_sat(
         worlds = tuple(
             (Atom(basis, signs), w)
             for signs, w in zip(reps, sol.values)
-            if w > 0
+            if w
         )
         model = SmallModel(worlds, basis)
         problems = certify_model(model, f, cs, form=form)

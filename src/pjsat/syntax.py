@@ -633,4 +633,5 @@ def weight_size_bound(f: PFormula) -> int:
 
 def p_level_weight_bound(occs, size) -> int:
     """``weight_size_bound`` of the formula whose ``p_level`` is (occs, size)."""
-    return math.floor(shrink_bound(size, max(size_rat(g.threshold) for g in occs)))
+    l = max(size_int(g.threshold.numerator) + size_int(g.threshold.denominator) for g in occs)
+    return math.floor(shrink_bound(size, l))

@@ -1,10 +1,11 @@
-"""Seeded random generators for formulas, terms, atoms and systems."""
+"""Seeded random generators for formulas, terms, atoms, models and systems."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from pjsat.linrat import LinearSystem, Rel, Row
+from pjsat.solver import SmallModel
 from pjsat.syntax import (
     App,
     Assert,
@@ -88,6 +89,28 @@ def rand_atom_for(rng, phi_or_basis):
         else basis_of(phi_or_basis)
     )
     return Atom(basis, tuple(rng.random() < 0.5 for _ in basis))
+
+
+# denominators of random model weights, two of them past 2^64
+WEIGHT_DENS = (1, 2, 3, 7, 2**64 + 13, 3**41)
+
+
+def rand_model(rng, basis, max_worlds=4):
+    """A SmallModel over basis with up to max_worlds worlds, whose atoms
+    may repeat.  Its weights are equal shares of 1, or positive weights
+    scaled to sum to 1, or any weights, zero, negative and sums other
+    than 1 among them, with denominators from WEIGHT_DENS."""
+    k = rng.randint(0, max_worlds)
+    atoms = [Atom(basis, tuple(rng.random() < 0.5 for _ in basis)) for _ in range(k)]
+    kind = rng.randrange(3)
+    if kind == 0:
+        weights = [Fraction(1, k)] * k if k else []
+    elif kind == 1:
+        parts = [Fraction(rng.randint(1, 9), rng.choice(WEIGHT_DENS)) for _ in range(k)]
+        weights = [w / sum(parts) for w in parts]
+    else:
+        weights = [Fraction(rng.randint(-2, 4), rng.choice(WEIGHT_DENS)) for _ in range(k)]
+    return SmallModel(tuple(zip(atoms, weights)), basis)
 
 
 def trap_jformula(rng, consts=("s", "t")):

@@ -7,8 +7,9 @@ evidence closure, parsing by the earlier tokenizer and parser, which
 backtrack by exception, the parser's token scan by the earlier scan with
 its length check, unification by the earlier recursive unifier,
 the solver's choice of tableau rows by presolve rules written out on
-their own, and the clash table by those rules and a test of every pair
-of rows.
+their own, the clash table by those rules and a test of every pair
+of rows, and the small-model certificate's measures and weight checks
+by ``Fraction`` arithmetic over truth tables.
 """
 
 from __future__ import annotations
@@ -238,6 +239,58 @@ def p_size(f) -> int:
     if isinstance(f, PNot):
         return 1 + p_size(f.body)
     return p_size(f.left) + 1 + p_size(f.right)
+
+
+# --- the small-model certificate on Fraction arithmetic ---
+
+def ref_measure(model, body) -> Fraction:
+    """The ``Fraction`` sum of the weights of the worlds whose atom
+    satisfies body by truth table."""
+    return sum((w for a, w in model.worlds if tt_eval(body, a)), Fraction(0))
+
+
+def ref_holds(model, f) -> bool:
+    """f in the model: each AtLeast compares its body's ref_measure with
+    its threshold."""
+    if isinstance(f, AtLeast):
+        return ref_measure(model, f.body) >= f.threshold
+    if isinstance(f, PNot):
+        return not ref_holds(model, f.body)
+    return ref_holds(model, f.left) and ref_holds(model, f.right)
+
+
+def _size(q: Fraction) -> int:
+    """|numerator| + |denominator| in bits, 0 counting as one bit."""
+    return max(q.numerator.bit_length(), 1) + q.denominator.bit_length()
+
+
+def ref_certify(model, f):
+    """certify_model's problem list for a formula whose bodies hold no
+    assertion, so that every world is J-satisfiable: the world count
+    against p_size(f), the weights' sum, signs and sizes as ``Fraction``s,
+    the worlds' atoms compared whole, and ref_holds.  The size bound is
+    floor(2 * (r*l + r*log2(r) + 1)), r = p_size(f) and l the largest
+    threshold size."""
+    r = p_size(f)
+    l = max(_size(g.threshold) for g in p_occurrences(f))
+    bound = math.floor(2 * (r * l + r * math.log2(r) + 1))
+    problems = []
+    if len(model.worlds) > r:
+        problems.append(f"too many worlds: {len(model.worlds)} > {r}")
+    total = sum((w for _, w in model.worlds), Fraction(0))
+    if total != 1:
+        problems.append(f"weights sum to {total}, not 1")
+    for i, (_, w) in enumerate(model.worlds, 1):
+        if w <= 0:
+            problems.append(f"world {i} has non-positive weight {w}")
+        elif _size(w) > bound:
+            problems.append(f"world {i} weight {w} has size {_size(w)} > {bound}")
+    atoms = [a for a, _ in model.worlds]
+    if len(set(atoms)) != len(atoms):
+        problems.append("duplicate atom across worlds")
+    if not ref_holds(model, f):
+        problems.append("model does not satisfy the formula")
+    return problems
 
 
 # --- bounded forward-saturation atom satisfiability ---

@@ -264,6 +264,33 @@ class TestFeasible:
                 rows.append((coeffs, Rel.LE, rhs) if rng.random() < 0.5 else (coeffs, Rel.GE, -rhs))
             assert feasible(sys_of(rows, n)) == Solution((F(0),) * n)
 
+    def test_corrupted_right_hand_side_is_refused(self, monkeypatch):
+        # a simplex whose one basic row reads its value plus one: the
+        # solution, (2, 0) or (0, 2), fails the row x1 + x2 = 1
+        run = linrat._run_simplex
+
+        def corrupted(tableau, basis, enterable=None):
+            run(tableau, basis, enterable)
+            assert basis[0] < 2
+            tableau[0][-1] += tableau[0][basis[0]]
+
+        monkeypatch.setattr(linrat, "_run_simplex", corrupted)
+        with pytest.raises(AssertionError, match="^simplex produced an invalid solution$"):
+            feasible(sys_of([([1, 1], Rel.EQ, 1)], 2))
+
+    def test_negative_basic_value_is_refused(self, monkeypatch):
+        # a simplex that ends on the rows' one solution, (2, -1), with a
+        # zero objective: every row holds there, but x2 is negative
+        def solved(tableau, basis, enterable=None):
+            tableau[:] = [[1, 0, 0, 0, 2], [0, 1, 0, 0, -1], [0, 0, 0, 0, 0]]
+            basis[:] = [0, 1]
+
+        s = sys_of([([1, 1], Rel.EQ, 1), ([1, -1], Rel.EQ, 3)], 2)
+        assert all(HOLDS[row.rel](2 * row.coeffs[0] - row.coeffs[1], row.rhs) for row in s.rows)
+        monkeypatch.setattr(linrat, "_run_simplex", solved)
+        with pytest.raises(AssertionError, match="^simplex produced an invalid solution$"):
+            feasible(s)
+
     def test_returned_solutions_always_satisfy(self):
         rng = random.Random(41)
         seen_feasible = 0

@@ -4,7 +4,9 @@ import itertools
 import math
 import pathlib
 import random
+import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -51,8 +53,25 @@ from pjsat.syntax import (
     weight_size_bound,
 )
 
-from _gen import THRESHOLDS, cs_assert_jformula, rand_jformula, rand_pformula, trap_jformula
-from _oracles import fm_feasible, p_occurrences, p_size, ref_clashes, ref_presolve
+from _gen import (
+    THRESHOLDS,
+    WEIGHT_DENS,
+    cs_assert_jformula,
+    rand_jformula,
+    rand_model,
+    rand_pformula,
+    trap_jformula,
+)
+from _oracles import (
+    fm_feasible,
+    p_occurrences,
+    p_size,
+    ref_certify,
+    ref_clashes,
+    ref_holds,
+    ref_measure,
+    ref_presolve,
+)
 
 CS = default_cs()
 F = Fraction
@@ -690,6 +709,65 @@ class TestCertifyModel:
         monkeypatch.setattr(pjsat.solver, "feasible", doubled)
         with pytest.raises(AssertionError, match="weights sum to 2, not 1"):
             solve_sat(parse_pformula("P>=1/2 p1 & P>=1/2 ~p1"), CS)
+
+
+class TestCertificateReference:
+    """check_model and certify_model against their Fraction reference in
+    _oracles, on seeded random models over bases of one to three
+    propositions and formulas whose bodies hold no assertion."""
+
+    def body(self, rng, props, depth=2):
+        if depth == 0 or rng.random() < 0.4:
+            return Prop(rng.randint(1, props))
+        if rng.random() < 0.4:
+            return JNot(self.body(rng, props, depth - 1))
+        return JAnd(*(self.body(rng, props, depth - 1) for _ in "lr"))
+
+    def threshold(self, rng, model):
+        """0 and 1 among the usual thresholds, one past 2^64 in its
+        denominator, or a measure of some worlds, on the boundary of >=."""
+        kind = rng.randrange(3)
+        if kind == 1:
+            return F(rng.randint(0, WEIGHT_DENS[-1]), WEIGHT_DENS[-1])
+        if kind == 2:
+            measure = sum((w for _, w in model.worlds if rng.random() < 0.5), F(0))
+            if 0 <= measure <= 1:
+                return measure
+        return rng.choice(THRESHOLDS)
+
+    def formula(self, rng, model, props, depth):
+        if depth == 0 or rng.random() < 0.4:
+            return AtLeast(self.threshold(rng, model), self.body(rng, props))
+        if rng.random() < 0.4:
+            return PNot(self.formula(rng, model, props, depth - 1))
+        return PAnd(*(self.formula(rng, model, props, depth - 1) for _ in "lr"))
+
+    def test_random_models(self):
+        rng = random.Random(34)
+        seen = Counter()
+        for _ in range(1500):
+            props = rng.randint(1, 3)
+            model = rand_model(rng, tuple(Prop(i) for i in range(1, props + 1)))
+            f = self.formula(rng, model, props, rng.randint(0, 2))
+            holds = ref_holds(model, f)
+            assert check_model(model, f) == holds, (model, f)
+            problems = certify_model(model, f, CS)
+            assert problems == ref_certify(model, f), (model, f)
+            seen[holds] += 1
+            seen["tie"] += any(ref_measure(model, g.body) == g.threshold for g in p_occurrences(f))
+            seen.update(re.sub(r"-?[\d/]+", "#", p) for p in problems)
+            seen["certified"] += not problems
+        assert seen[True] > 200 and seen[False] > 200 and seen["tie"] > 200
+        assert seen["certified"] > 100
+        for problem in (
+            "too many worlds: # > #",
+            "weights sum to #, not #",
+            "world # has non-positive weight #",
+            "world # weight # has size # > #",
+            "duplicate atom across worlds",
+            "model does not satisfy the formula",
+        ):
+            assert seen[problem] > 20, problem
 
 
 class TestForm:
