@@ -18,9 +18,12 @@ columns before the walk, one int mask per column, refutes it, and of
 any other system it keeps the rows the simplex gets, the total row and
 the tightest bound per column and direction, which imply the rest.
 Third, the model is read off the first feasible system's solution.  No
-assignment past the first feasible one is built.  The simplex returns a
-basic solution, so the model has at most one world per row and weights
-of certified size; ``certify_model`` checks both on every model.
+assignment past the first feasible one is built.  A system is decided
+by a point mass, weight 1 on one representative that meets every
+literal, when one exists, read off the clash table's masks, and
+otherwise by the simplex.  Either gives a basic solution, so the model
+has at most one world per row and weights of certified size;
+``certify_model`` checks both on every model.
 
 The formula over the truth values of its probability literals is
 evaluated by one compiled test, ``syntax.truth_test``, three-valued over
@@ -317,9 +320,16 @@ def _kept_rows(occs, columns):
     the total row, ``0 < s - 1``.  A lower bound s and an upper bound u on
     one column subtract to ``0 > s - u``.  Lower bounds s and t on
     complementary columns, less the total row, sum to ``0 >= s + t - 1``,
-    and upper bounds to ``0 < s + t - 1``."""
+    and upper bounds to ``0 < s + t - 1``.
+
+    ``kept_rows.point_mass(bits)`` is the first representative, in
+    enumeration order, on which weight 1 alone meets every literal, or
+    None: the highest set byte of the AND of each True literal's mask
+    (no mask if s = 0) and each False literal's complement (0 if
+    s = 0, as ``P(b) < 0`` never holds)."""
     one = math.lcm(*(occ.threshold.denominator for occ in occs))  # a threshold s is s * one
-    ones = int.from_bytes(bytes([1]) * len(next(iter(columns.values()))), "big")
+    width = len(next(iter(columns.values())))  # the representatives
+    ones = int.from_bytes(bytes([1]) * width, "big")
     name = {}  # a mask to 4k, its complement to 4k + 2, k the first literal on either
     literals = []
     for k, occ in enumerate(occs):
@@ -328,7 +338,7 @@ def _kept_rows(occs, columns):
             name[mask], name[mask ^ ones] = 4 * k, 4 * k + 2
         s = occ.threshold.numerator * (one // occ.threshold.denominator)
         dead = False if mask == ones else s > 0 if mask == 0 else None
-        literals.append((name[mask], s, dead))
+        literals.append((name[mask], s, dead, mask))
     above = one + 1  # no upper bound, as -1 is no lower bound: neither decides a test
 
     def kept_rows(bits):
@@ -337,7 +347,7 @@ def _kept_rows(occs, columns):
         # complement's: the tightest bound and its row, which keeps the
         # first row's place
         bound, row = {}, {}
-        for i, ((c, s, dead), bit) in enumerate(zip(literals, bits), 1):
+        for i, ((c, s, dead, _), bit) in enumerate(zip(literals, bits), 1):
             if dead is not None:
                 if bit == dead:
                     return None
@@ -355,6 +365,16 @@ def _kept_rows(occs, columns):
                 return None
         return [0, *row.values()]
 
+    def point_mass(bits):
+        at = ones
+        for (_, s, _, mask), bit in zip(literals, bits):
+            if s:
+                at &= mask if bit else ~mask
+            elif not bit:
+                return None
+        return width - 1 - (at.bit_length() - 1) // 8 if at else None
+
+    kept_rows.point_mass = point_mass
     return kept_rows
 
 
@@ -378,8 +398,10 @@ def solve_sat(
     from the columns before the walk) refutes is skipped: it builds no
     system, and neither ``feasible`` nor ``on_system`` sees it.  Of any
     other system, one row per literal as ``on_system`` sees it,
-    ``feasible`` gets only the rows the clash table keeps.  The
-    winning system's basic solution is the model, one world per
+    ``feasible`` gets only the rows the clash table keeps.  A kept
+    system is decided by a point mass when one exists
+    (``kept_rows.point_mass``), with no tableau, else by ``feasible``.
+    The winning system's basic solution is the model, one world per
     positive weight (the only sign tuples made into Atoms), and is
     certified before being returned.
     """
@@ -394,14 +416,18 @@ def solve_sat(
         system = build_system(occs, bits, columns)
         if on_system is not None:
             on_system(system)
-        sol = feasible(LinearSystem(tuple(system.rows[i] for i in kept), system.var_count))
-        if sol is None:
-            continue
-        worlds = tuple(
-            (Atom(basis, signs), w)
-            for signs, w in zip(reps, sol.values)
-            if w
-        )
+        r = kept_rows.point_mass(bits)
+        if r is not None:
+            worlds = ((Atom(basis, reps[r]), Fraction(1)),)
+        else:
+            sol = feasible(LinearSystem(tuple(system.rows[i] for i in kept), system.var_count))
+            if sol is None:
+                continue
+            worlds = tuple(
+                (Atom(basis, signs), w)
+                for signs, w in zip(reps, sol.values)
+                if w
+            )
         model = SmallModel(worlds, basis)
         problems = certify_model(model, f, cs, form=form)
         if problems:

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import itertools
 import math
+import operator
 import pathlib
 import random
 import re
@@ -485,7 +486,7 @@ class TestModelIdentity:
             model = solve_sat(parse_pformula(text), CS)
             digest.update(f"{text}\n{format_model(model) if model else 'UNSAT'}\n".encode())
         assert digest.hexdigest() == (
-            "74ab559c8ba9f53100c6ae534158d0356034879ae8125a7b625cdc605b7e4283"
+            "f147c57b85761ca89bfd401ee7ae165cc655568a261dbf80a99617bf8451d4a4"
         )
 
 
@@ -554,6 +555,95 @@ class TestClashTest:
         for f, reps in zip(formulas, cases.values()):
             assert len(_signatures(_Form(f, CS))[0]) == reps, f
         assert self.compare(formulas) == (10, 19)
+
+
+def _first_unit_solution(system):
+    """The first j whose unit vector e_j, weight 1 on column j and 0
+    elsewhere, satisfies every row of system, in Fraction arithmetic, or
+    None."""
+    holds = {Rel.EQ: operator.eq, Rel.LE: operator.le, Rel.GE: operator.ge, Rel.LT: operator.lt}
+    for j in range(system.var_count):
+        if all(holds[row.rel](Fraction(row.coeffs[j]), row.rhs) for row in system.rows):
+            return j
+    return None
+
+
+class TestPointMass:
+    """A system that one representative's unit vector solves is decided
+    by that point mass, the first such in enumeration order, with no
+    tableau; any other goes to the simplex."""
+
+    @staticmethod
+    def compare(formulas):
+        # on each SAT decision's winning system, the last on_system sees
+        points = sats = 0
+        for f in formulas:
+            systems = []
+            m = solve_sat(f, CS, on_system=systems.append)
+            if m is None:
+                continue
+            sats += 1
+            j = _first_unit_solution(systems[-1])
+            one_world = len(m.worlds) == 1 and m.worlds[0][1] == 1
+            assert one_world == (j is not None), f
+            if j is not None:
+                points += 1
+                reps = _signatures(_Form(f, CS))[0]
+                assert m.worlds == ((Atom(m.basis, reps[j]), F(1)),), f
+        return points, sats
+
+    def test_workload_instances(self, monkeypatch):
+        formulas = [parse_pformula(text) for text in _workload_texts(monkeypatch)]
+        points, sats = self.compare(formulas)
+        assert (points, sats) == (525, 576)
+
+    def test_random_formulas(self):
+        rng = random.Random(43)
+        formulas = [rand_pformula(rng, depth=rng.randint(1, 4)) for _ in range(200)]
+        points, sats = self.compare(formulas)
+        assert points > 150 and sats > points  # 176 of 180
+
+    def test_or_family_builds_no_tableau(self, monkeypatch):
+        # O(7): its one kept system, 18 rows by 2^14 columns, is met
+        # by a point mass, so feasible is never called
+        def no_simplex(system):
+            raise AssertionError("feasible called")
+
+        monkeypatch.setattr(pjsat.solver, "feasible", no_simplex)
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        f = parse_pformula(workloads.or_family([f"p{i}" for i in range(1, 15)], 7, False))
+        m = solve_sat(f, CS)
+        assert m is not None and len(m.worlds) == 1
+        assert certify_model(m, f, CS) == []
+
+    def test_split_mass_reaches_the_simplex(self, monkeypatch):
+        calls = []
+
+        def counted(system):
+            calls.append(system)
+            return feasible(system)
+
+        monkeypatch.setattr(pjsat.solver, "feasible", counted)
+        m = solve_sat(parse_pformula("P>=1/2 p1 & P>=1/2 ~p1"), CS)
+        assert len(calls) == 1
+        assert sorted(w for _, w in m.worlds) == [F(1, 2), F(1, 2)]
+
+    def test_point_mass_is_certified(self, monkeypatch):
+        certified = []
+
+        def spy(model, f, cs, *, form=None):
+            certified.append(model)
+            return certify_model(model, f, cs, form=form)
+
+        def no_simplex(system):
+            raise AssertionError("feasible called")
+
+        monkeypatch.setattr(pjsat.solver, "certify_model", spy)
+        monkeypatch.setattr(pjsat.solver, "feasible", no_simplex)
+        m = solve_sat(parse_pformula("P>=1/2 p1 & ~P>=1/2 p2"), CS)
+        assert certified == [m]
+        assert m.worlds == ((Atom(m.basis, (True, False)), F(1)),)
 
 
 class TestFrontier:
