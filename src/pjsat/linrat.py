@@ -2,9 +2,9 @@
 
 Systems are rows of rational coefficients with relations {=, <=, >=, <}
 over implicitly non-negative variables.  ``feasible`` is the one simplex
-routine: exact, Dantzig pricing with a Bland pivot after each degenerate
-one.  Each row starts basic on its own slack where it can, else on an
-artificial.  Phase 1 always runs; phase 2, which maximizes a slack
+routine: exact, Dantzig pricing with a lexicographic ratio test, which
+cannot cycle.  Each row starts basic on its own slack where it can, else
+on an artificial.  Phase 1 always runs; phase 2, which maximizes a slack
 epsilon, runs only when some row is strict, and it continues on phase
 1's tableau, artificial columns and all.  It returns a basic solution,
 which the solver takes as its model.  Its tableau is fraction-free, on
@@ -170,42 +170,42 @@ def _price_out(tableau, basis, cost):
 def _run_simplex(tableau, basis, enterable=None):
     """Minimize the objective in the tableau's last row in place.  The
     entering column has the most negative reduced cost, lowest index on
-    ties (Dantzig), except right after a degenerate pivot, one whose
-    leaving row had right-hand side 0: then it is the lowest-index column
-    with negative reduced cost (Bland).  Basic columns have reduced cost 0
-    and never enter, nor does column j when enterable[j] is False.  The
-    ratio test runs over the first len(basis) rows, compares rhs_i/a_i
-    against rhs_l/a_l by cross products, so the rows' scales cancel, and
-    sends ties to the lowest basic column.  A nondegenerate pivot lowers
-    the objective, and in a run of degenerate pivots every pivot after the
-    first is a Bland pivot, which cannot cycle (Bland, Math. Oper. Res.
-    1977)."""
+    ties (Dantzig).  Basic columns have reduced cost 0 and never enter,
+    nor does column j when enterable[j] is False.  The ratio test over
+    the first len(basis) rows leaves on the lexicographically least
+    row / a, a the row's entry in the entering column, read by cross
+    products, so the rows' scales cancel: the right-hand side, then each
+    column from the last to the first.  Each of those rows must start
+    lexicographically positive in that order, as in ``feasible``, where
+    a row's highest-index nonzero is its start column, at a positive
+    scale.  The rows then stay lexicographically positive and distinct,
+    and each pivot raises the objective row lexicographically, so no
+    basis repeats, whatever enters (Dantzig, Orden and Wolfe, Pacific J.
+    Math. 1955)."""
     m = len(basis)
-    bland = False
     while True:
         costs = tableau[-1][:-1]
         if enterable is not None:
             costs = [d if ok else 0 for d, ok in zip(costs, enterable)]
-        if bland:
-            enter = next((j for j, d in enumerate(costs) if d < 0), -1)
-        else:
-            low = min(costs, default=0)
-            enter = costs.index(low) if low < 0 else -1
-        if enter < 0:
+        low = min(costs, default=0)
+        if low >= 0:
             return
+        enter = costs.index(low)
         leave = -1
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
                 if leave < 0:
-                    leave = i
+                    leave, p = i, a
                     continue
-                d = tableau[i][-1] * tableau[leave][enter] - tableau[leave][-1] * a
-                if d < 0 or (d == 0 and basis[i] < basis[leave]):
-                    leave = i
+                for x, y in zip(reversed(tableau[i]), reversed(tableau[leave])):
+                    d = x * p - y * a
+                    if d:
+                        break
+                if d < 0:
+                    leave, p = i, a
         if leave < 0:
             raise UnboundedError("objective unbounded")
-        bland = tableau[leave][-1] == 0
         _pivot(tableau, basis, leave, enter)
 
 
@@ -241,8 +241,8 @@ def feasible(system: LinearSystem):
     row, which is 0 in the entering column, and so the mask, unchanged.
     A redundant row, 0 on every non-artificial column, is never a pivot
     row.  Every feasible point has x_j = 0 where d_j > 0, so the
-    restricted phase 2 reaches the true maximum of eps, and its Bland
-    pivots cannot cycle.
+    restricted phase 2 reaches the true maximum of eps, and its
+    lexicographic pivots cannot cycle.
 
     The tableau holds Python ints.  Each row, the objective row too, is a
     positive multiple of the rational row that Gauss-Jordan division

@@ -290,9 +290,9 @@ def _kept_rows(occs, columns):
     """A function of the truth assignments to occs: None when the
     assignment's system has a dead literal or two literals whose bounds
     leave no room, which the columns decide with no tableau (Andersen and
-    Andersen, Math. Programming 1995), and otherwise the indices of the
-    rows of its ``build_system`` system, the total row 0 and occs[k]'s
-    row k + 1, that reach the tableau.
+    Andersen, Math. Programming 1995), and otherwise the positions k in
+    occs of the literals whose rows reach the tableau, beside the total
+    row.
 
     A literal's row is ``a.x >= s`` when it is True and ``a.x < s`` when
     it is False, a its body's column, beside the total row ``1.x = 1``.
@@ -307,8 +307,8 @@ def _kept_rows(occs, columns):
     masks' lower bounds sum past 1, or their upper bounds sum to 1 or
     less.
 
-    The kept rows are the total row, then per mask and direction the
-    tightest bound (the first on ties), in its first row's place.  The
+    The kept literals are, per mask and direction, the tightest bound
+    (the first on ties), in its first literal's place.  The
     rows left out, looser bounds and literals that hold on all-ones or
     all-zeros columns, are implied, so a Farkas certificate over the kept
     rows gives 0 to every other literal row.
@@ -344,10 +344,10 @@ def _kept_rows(occs, columns):
     def kept_rows(bits):
         # keyed by a mask's name for its lower bound, the name + 1 for its
         # upper, so key ^ 1 is the other direction and key ^ 2 the
-        # complement's: the tightest bound and its row, which keeps the
-        # first row's place
-        bound, row = {}, {}
-        for i, ((c, s, dead, _), bit) in enumerate(zip(literals, bits), 1):
+        # complement's: the tightest bound and its literal, which keeps
+        # the first literal's place
+        bound, pos = {}, {}
+        for k, ((c, s, dead, _), bit) in enumerate(zip(literals, bits)):
             if dead is not None:
                 if bit == dead:
                     return None
@@ -356,14 +356,14 @@ def _kept_rows(occs, columns):
             old = bound.get(key)
             if old is None or (s > old if bit else s < old):
                 bound[key] = s
-                row[key] = i
+                pos[key] = k
         for key, s in bound.items():
             if key & 1 == 0:
                 if s >= bound.get(key + 1, above) or s + bound.get(key ^ 2, -1) > one:
                     return None
             elif s + bound.get(key ^ 2, above) <= one:
                 return None
-        return [0, *row.values()]
+        return list(pos.values())
 
     def point_mass(bits):
         at = ones
@@ -396,11 +396,11 @@ def solve_sat(
     False, and each is tried as a linear system; the first feasible one
     wins.  An assignment that the clash table (``_kept_rows``, built once
     from the columns before the walk) refutes is skipped: it builds no
-    system, and neither ``feasible`` nor ``on_system`` sees it.  Of any
-    other system, one row per literal as ``on_system`` sees it,
-    ``feasible`` gets only the rows the clash table keeps.  A kept
-    system is decided by a point mass when one exists
-    (``kept_rows.point_mass``), with no tableau, else by ``feasible``.
+    system, and neither ``feasible`` nor ``on_system`` sees it.  Any
+    other assignment's system, one row per literal, is built only for
+    ``on_system``.  It is decided by a point mass when one exists
+    (``kept_rows.point_mass``), with no tableau, else by ``feasible``
+    on the system of the literals the clash table keeps.
     The winning system's basic solution is the model, one world per
     positive weight (the only sign tuples made into Atoms), and is
     certified before being returned.
@@ -413,14 +413,13 @@ def solve_sat(
         kept = kept_rows(bits)
         if kept is None:
             continue
-        system = build_system(occs, bits, columns)
         if on_system is not None:
-            on_system(system)
+            on_system(build_system(occs, bits, columns))
         r = kept_rows.point_mass(bits)
         if r is not None:
             worlds = ((Atom(basis, reps[r]), Fraction(1)),)
         else:
-            sol = feasible(LinearSystem(tuple(system.rows[i] for i in kept), system.var_count))
+            sol = feasible(build_system([occs[k] for k in kept], [bits[k] for k in kept], columns))
             if sol is None:
                 continue
             worlds = tuple(

@@ -193,3 +193,26 @@ def rand_feasibility_system(rng, max_rows=6, max_vars=4):
         rhs = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
         rows.append(Row(coeffs, rel, rhs))
     return LinearSystem(tuple(rows), n)
+
+
+def split_mass_text(n, threshold="1/2"):
+    """N(n): ``P>=t p1 & … & P>=t pn & ~P>=t (p1 & … & pn)``, t 1/2 unless
+    given.  For n >= 2 and 0 < t < 1 it is SAT, and no point mass meets
+    it: a world with every pi gives the conjunction measure 1, any other
+    misses some pi."""
+    props = [f"p{i}" for i in range(1, n + 1)]
+    lower = " & ".join(f"P>={threshold} {p}" for p in props)
+    return f"{lower} & ~P>={threshold} ({' & '.join(props)})"
+
+
+def or_cover_text(m):
+    """O(m)+C: bench/workloads.py's ``or_family`` over p10, p11, …, the m
+    disjunctions ``~(~P>=1/2 p(10+2i) & ~P>=1/2 p(11+2i))`` and
+    ``P>=1 ~p10 & P>=1 ~p12 & P>=1 ~p14``, plus
+    ``~P>=1/2 (p11 & p13 & … & p(9+2m))``.  It is SAT, and no point mass
+    meets its first kept system, so the simplex decides it."""
+    pairs = [(f"p{10 + 2 * i}", f"p{11 + 2 * i}") for i in range(m)]
+    lits = [f"~(~P>=1/2 {a} & ~P>=1/2 {b})" for a, b in pairs]
+    lits += ["P>=1 ~p10", "P>=1 ~p12", "P>=1 ~p14"]
+    lits.append(f"~P>=1/2 ({' & '.join(b for _, b in pairs)})")
+    return " & ".join(lits)

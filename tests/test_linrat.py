@@ -20,7 +20,7 @@ from pjsat.linrat import (
 )
 from pjsat.syntax import size_rat
 
-from _gen import rand_feasibility_system, rand_system_with_point
+from _gen import or_cover_text, rand_feasibility_system, rand_system_with_point, split_mass_text
 from _oracles import HOLDS, fm_feasible, ref_presolve
 
 F = Fraction
@@ -78,13 +78,12 @@ def _ref_price_out(tableau, basis, cost):
 def _ref_run_simplex(tableau, basis, enterable=None):
     """Minimize the objective in the tableau's last row in place.  The
     entering column has the most negative reduced cost, lowest index on
-    ties, except right after a degenerate pivot (leaving row with
-    right-hand side 0), when it is the lowest-index column with negative
-    reduced cost.  Basic columns have reduced cost 0 and never enter, nor
-    does column j when enterable[j] is False.  The ratio test runs over
-    the first len(basis) rows."""
+    ties.  Basic columns have reduced cost 0 and never enter, nor does
+    column j when enterable[j] is False.  The ratio test runs over the
+    first len(basis) rows and leaves on the lexicographically least
+    row / a, a its entry in the entering column, read as the right-hand
+    side, then each column from the last to the first."""
     m = len(basis)
-    bland = False
     while True:
         costs = tableau[-1][:-1]
         negative = [
@@ -92,25 +91,11 @@ def _ref_run_simplex(tableau, basis, enterable=None):
         ]
         if not negative:
             return
-        if bland:
-            enter = negative[0]
-        else:
-            enter = min(negative, key=lambda j: (costs[j], j))
-        leave = -1
-        best = None
-        for i in range(m):
-            if tableau[i][enter] > 0:
-                ratio = tableau[i][-1] / tableau[i][enter]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
+        enter = min(negative, key=lambda j: (costs[j], j))
+        rows = [i for i in range(m) if tableau[i][enter] > 0]
+        if not rows:
             raise UnboundedError("objective unbounded")
-        bland = best == 0
+        leave = min(rows, key=lambda i: [v / tableau[i][enter] for v in reversed(tableau[i])])
         _ref_pivot(tableau, basis, leave, enter)
 
 
@@ -351,10 +336,9 @@ class TestFeasible:
     def test_matches_fraction_reference(self, monkeypatch):
         # Same results and the same pivots, in order, as the Fraction
         # simplex: the integer tableau takes the reference's path, Dantzig
-        # pricing with a Bland pivot after each degenerate one, on every
-        # input row.  Some phase-2 runs end with an artificial basic at 0,
-        # so the paths are compared where the phase-1 tableau carries one
-        # through.
+        # pricing with a lexicographic ratio test, on every input row.
+        # Some phase-2 runs end with an artificial basic at 0, so the paths
+        # are compared where the phase-1 tableau carries one through.
         path, ref_path = [], []
         seen = Counter()
 
@@ -536,6 +520,21 @@ O3 = (
 )
 
 
+def sat_pivots(monkeypatch, text):
+    """solve_sat's model of text and the number of pivots it took."""
+    count = 0
+
+    def counting(tableau, basis, row, col):
+        nonlocal count
+        count += 1
+        pivot(tableau, basis, row, col)
+
+    pivot = linrat._pivot
+    monkeypatch.setattr(linrat, "_pivot", counting)
+    model = solve_sat(parse_pformula(text), default_cs())
+    return model, count
+
+
 class TestPricing:
     def test_beale_example_does_not_cycle(self, monkeypatch):
         # Beale (1955): minimize -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 subject to
@@ -596,17 +595,43 @@ class TestPricing:
         # 754 when every row started on an artificial that was priced out
         # with a pivot, and 319 before the presolve refuted the pairs of
         # bounds that contradict, P>=1 ~p10 against P>=1/2 p10 among them.
-        count = 0
+        model, count = sat_pivots(monkeypatch, O3)
+        assert model is not None and count <= 20
 
-        def counting(tableau, basis, row, col):
-            nonlocal count
-            count += 1
-            pivot(tableau, basis, row, col)
+    def test_split_mass_does_not_stall(self, monkeypatch):
+        # N(10): with a Bland pivot after each degenerate one, nearly every
+        # pivot was degenerate and the columns entered one by one in index
+        # order, 2^10 + 3 = 1027 pivots; 17 with the lexicographic ratio test
+        model, count = sat_pivots(monkeypatch, split_mass_text(10))
+        assert model is not None and count <= 40
 
-        pivot = linrat._pivot
-        monkeypatch.setattr(linrat, "_pivot", counting)
-        assert solve_sat(parse_pformula(O3), default_cs()) is not None
-        assert count <= 20
+    def test_or_cover_does_not_stall(self, monkeypatch):
+        # O(6)+C: one LP over 2^12 columns, 211 pivots with the Bland
+        # fallback, 19 with the lexicographic ratio test
+        model, count = sat_pivots(monkeypatch, or_cover_text(6))
+        assert model is not None and count <= 40
+
+    def test_rows_start_lexicographically_positive(self, monkeypatch):
+        # every row of feasible's starting tableau, as phase 1 gets it, has
+        # its highest-index nonzero on its start column, and positive there
+        run = linrat._run_simplex
+        starts = 0
+
+        def checked(tableau, basis, enterable=None):
+            nonlocal starts
+            if enterable is None:  # phase 1, on the starting tableau
+                for line, b in zip(tableau, basis):
+                    assert max(k for k, v in enumerate(line[:-1]) if v) == b
+                    assert line[b] > 0
+                starts += 1
+            run(tableau, basis, enterable)
+
+        monkeypatch.setattr(linrat, "_run_simplex", checked)
+        rng = random.Random(73)
+        draws = (rand_feasibility_system, with_dependent_rows, with_denominators)
+        for k in range(600):
+            feasible(draws[k % 3](rng))
+        assert starts == 600
 
     def test_o3_core_needs_no_pivot(self, monkeypatch):
         # O(3)+U: each of its 18 accepted assignments bounds some body and

@@ -58,9 +58,11 @@ from _gen import (
     THRESHOLDS,
     WEIGHT_DENS,
     cs_assert_jformula,
+    or_cover_text,
     rand_jformula,
     rand_model,
     rand_pformula,
+    split_mass_text,
     trap_jformula,
 )
 from _oracles import (
@@ -76,6 +78,25 @@ from _oracles import (
 
 CS = default_cs()
 F = Fraction
+
+# SAT formulas that no point mass meets, so the simplex gives their models
+SPLIT_MASS = [
+    split_mass_text(n, t) for t in ("1/3", "1/2", "2/3", "3/4") for n in range(2, 7)
+] + [or_cover_text(m) for m in range(2, 5)]
+
+
+def simplex_solutions(monkeypatch):
+    """A list that gets each solution solver.feasible returns, from here on."""
+    found = []
+
+    def counted(system):
+        sol = feasible(system)
+        if sol is not None:
+            found.append(sol)
+        return sol
+
+    monkeypatch.setattr(pjsat.solver, "feasible", counted)
+    return found
 
 
 def model_of(*pairs):
@@ -304,11 +325,12 @@ class TestSolveSat:
         f = parse_pformula("P>=1 s:~(p1 & ~p2) & P>=1 t:p1 & ~P>=1 (s.t):p2")
         assert solve_sat(f, CS) is None
 
-    def test_emitted_models_certify(self):
+    def test_emitted_models_certify(self, monkeypatch):
+        simplex = simplex_solutions(monkeypatch)
         rng = random.Random(71)
+        formulas = [rand_pformula(rng, depth=2, body_depth=2) for _ in range(40)]
         sats = 0
-        for _ in range(40):
-            f = rand_pformula(rng, depth=2, body_depth=2)
+        for f in formulas + [parse_pformula(text) for text in SPLIT_MASS]:
             try:
                 m = solve_sat(f, CS, cap=8)
             except Exception as exc:
@@ -321,15 +343,17 @@ class TestSolveSat:
                 for a, _ in m.worlds:
                     assert atom_jsat(a, CS)
         assert sats > 5
+        assert len(simplex) >= 20  # 24 of 60 SAT
 
 
-    def test_models_are_basic_solutions(self):
+    def test_models_are_basic_solutions(self, monkeypatch):
         # a basic solution's positive weights sit on independent columns,
         # so a model has at most one world per row of its system
+        simplex = simplex_solutions(monkeypatch)
         rng = random.Random(79)
+        formulas = [rand_pformula(rng, depth=3, body_depth=2) for _ in range(60)]
         sats = 0
-        for _ in range(60):
-            f = rand_pformula(rng, depth=3, body_depth=2)
+        for f in formulas + [parse_pformula(text) for text in SPLIT_MASS]:
             if len(basis_of(f)) > 8:
                 continue
             systems = []
@@ -338,6 +362,7 @@ class TestSolveSat:
                 sats += 1
                 assert len(m.worlds) <= len(systems[-1].rows), f
         assert sats > 10
+        assert len(simplex) >= 20  # 24 of 74 SAT
 
 
 def overlapping_pformula(rng, literals=4):
@@ -493,8 +518,9 @@ class TestModelIdentity:
 class TestClashTest:
     """The clash table against its rules written out on their own: on
     every assignment under which the formula holds, it refutes exactly
-    the systems ``_oracles.ref_clashes`` refutes, and of every other it
-    keeps the rows ``_oracles.ref_presolve`` keeps, in its order."""
+    the systems ``_oracles.ref_clashes`` refutes, and of every other the
+    literals it keeps build the rows ``_oracles.ref_presolve`` keeps, in
+    its order."""
 
     @staticmethod
     def compare(formulas):
@@ -511,7 +537,8 @@ class TestClashTest:
                 expected = ref_clashes(rows)
                 assert (kept is None) == expected, (f, bits)
                 if kept is not None:
-                    assert [rows[i] for i in kept] == ref_presolve(rows), (f, bits)
+                    system = build_system([occs[k] for k in kept], [bits[k] for k in kept], columns)
+                    assert list(system.rows) == ref_presolve(rows), (f, bits)
                 refuted += expected
                 tried += 1
         return refuted, tried
