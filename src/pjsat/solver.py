@@ -2,28 +2,29 @@
 
 Satisfiability goes through three stages.  First, the sign tuples over
 the formula's basis are the bits of a truth table, one 2^n-bit int per
-set of tuples (Knuth, TAOCP 4A, 7.1.3).  Starting from the tuples that
-hold true the assertions the constant specification derives on its own,
-they are partitioned by the sets of the probability literal bodies, and
-each cell, one signature (the truth values of those bodies), keeps its
-first tuple in enumeration order that a basic evaluation can satisfy as
-an atom.  Second, the truth assignments to the formula's probability
-literals under which the formula holds are walked by
-``syntax.assignments``, which drops every prefix that already falsifies
-it, and each one is translated into an exact linear system over those
-sign tuples' weights, whose 0/1 coefficients are read off the
-signatures.  An assignment with a dead literal, or with two literals
-whose bounds leave no room, builds none: a clash table read off the
-columns before the walk, one int mask per column, refutes it, and of
-any other system it keeps the rows the simplex gets, the total row and
-the tightest bound per column and direction, which imply the rest.
-Third, the model is read off the first feasible system's solution.  No
-assignment past the first feasible one is built.  A system is decided
-by a point mass, weight 1 on one representative that meets every
-literal, when one exists, read off the clash table's masks, and
-otherwise by the simplex.  Either gives a basic solution, so the model
-has at most one world per row and weights of certified size;
-``certify_model`` checks both on every model.
+set of tuples (Knuth, TAOCP 4A, 7.1.3): the tuples that hold true the
+assertions the constant specification derives on its own, and each
+probability literal body's set.  Second, the truth assignments to the
+formula's probability literals under which the formula holds are walked
+by ``syntax.assignments``, which drops every prefix that already
+falsifies it.  Third, the first assignment with a model gives it.
+
+The first assignment is tried on a point mass alone: weight 1 on the
+first tuple, in enumeration order, that meets every literal and that a
+basic evaluation can satisfy as an atom, an AND of the bodies' sets.
+Most decisions end there.  Otherwise the tuples are partitioned by the
+bodies' sets, each cell, one signature (the truth values of those
+bodies), keeping its first such tuple, and each assignment, the first
+again, becomes an exact linear system over the representatives'
+weights, whose 0/1 coefficients are read off the signatures.  An
+assignment with a dead literal, or with two literals whose bounds leave
+no room, builds none: a clash table read off the columns, one int mask
+per column, refutes it, and of any other system it keeps the rows the
+simplex gets, the total row and the tightest bound per column and
+direction, which imply the rest.  A kept system is decided by its point
+mass when it has one, and otherwise by the simplex.  Either gives a
+basic solution, so the model has at most one world per row and weights
+of certified size; ``certify_model`` checks both on every model.
 
 The formula over the truth values of its probability literals is
 evaluated by one compiled test, ``syntax.truth_test``, three-valued over
@@ -104,15 +105,18 @@ class _Form:
 
     It has no walk of its own: ``p_level(f)`` gives the distinct AtLeast
     occurrences (``occs``) and ``size``, and ``basis_of`` over the
-    distinct bodies (``bodies``, in first-occurrence order) gives the
-    basis.  Compiled from them once, after the cap check: the P-level
+    distinct bodies (``bodies``, in first-occurrence order, read by each
+    occurrence through its index, ``slots``) gives the basis.  Compiled
+    from them once, after the cap check: the P-level
     ``holds`` and, given cs, ``jsat_test(basis, cs)``; and, when first
     asked for, ``weight_bound``, ``weight_size_bound(f)``.
     """
 
     def __init__(self, f: PFormula, cs: ConstantSpec | None = None, cap: int | None = None):
         self.occs, self.size = p_level(f)
-        self.bodies = list(dict.fromkeys(occ.body for occ in self.occs))
+        index = {}
+        self.slots = [index.setdefault(occ.body, len(index)) for occ in self.occs]
+        self.bodies = list(index)
         self.basis = basis_of(*self.bodies)
         if cap is not None:
             within_cap(self.basis, cap)
@@ -143,12 +147,12 @@ def check_model(model: SmallModel, f: PFormula, *, form=None) -> bool:
     index = {b: i for i, b in enumerate(model.basis)}
     tests = [truth_test(body, index) for body in form.bodies]
     d, weights = over_lcm([(w.numerator, w.denominator) for _, w in model.worlds])
-    measure = {  # P(body) times d
-        body: sum(m for (atom, _), m in zip(model.worlds, weights) if test(atom.signs))
-        for body, test in zip(form.bodies, tests)
-    }
+    measure = [  # P(body) times d, by slot
+        sum(m for (atom, _), m in zip(model.worlds, weights) if test(atom.signs)) for test in tests
+    ]
     return form.holds([
-        measure[g.body] * g.threshold.denominator >= g.threshold.numerator * d for g in form.occs
+        measure[slot] * g.threshold.denominator >= g.threshold.numerator * d
+        for g, slot in zip(form.occs, form.slots)
     ])
 
 
@@ -234,33 +238,68 @@ def _body_set(body, leaves, full):
     return values.pop()
 
 
-def _signatures(form):
-    """The representative sign tuples, in enumeration order, and each
-    body's 0/1 column over them (``columns[body]``, one int per
-    representative).
-
-    The sign tuples are the bits of a truth table over the basis.  The
-    cells start as one, the tuples that hold every CS-forced assertion
-    true, since every tuple that negates one is J-unsatisfiable; a depth
-    first refinement splits each cell by each body's set in turn, drops
-    empty parts and carries the truth values taken, so every leaf is one
-    signature's cell and its key is that signature.  A cell's
-    representative is its lowest bit whose tuple passes ``form.jsat``,
-    the first J-satisfiable tuple of the signature in enumeration order;
-    a cell none of whose tuples passes has none.  Only the representatives'
-    indices and tuples are kept, never a cell per representative."""
+def _table(form):
+    """The truth table over the basis, built once per decision: the
+    CS-forced cell, the tuples that hold every CS-forced assertion true,
+    since every tuple that negates one is J-unsatisfiable; each distinct
+    body's set of tuples, by slot; and ``first(cell)``, the lowest bit of
+    a cell whose tuple passes ``form.jsat``, with that tuple, or None.
+    The sign tuples are the bits of the table, in enumeration order."""
     n = len(form.basis)
     leaves = dict(zip(form.basis, _truth_table(n)))
     full = (1 << (1 << n)) - 1
     sets = [_body_set(body, leaves, full) for body in form.bodies]
-    cell = full
+    forced = full
     for j in form.jsat.cs_forced():
-        cell &= leaves[form.basis[j]]
+        forced &= leaves[form.basis[j]]
     # tuple i is high[i >> half] + low[i & mask]: product order, decoded by halves
     half = n // 2
     high = list(itertools.product((True, False), repeat=n - half))
     low = list(itertools.product((True, False), repeat=half))
     mask = len(low) - 1
+
+    def first(cell):
+        while cell:
+            i = (cell & -cell).bit_length() - 1
+            signs = high[i >> half] + low[i & mask]
+            if form.jsat(signs):
+                return i, signs
+            cell &= cell - 1
+        return None
+
+    return forced, sets, first
+
+
+def _point_mass(form, table, bits):
+    """The first sign tuple, in enumeration order, that passes
+    ``form.jsat`` and on which weight 1 alone meets every literal of the
+    assignment bits, or None: the lowest such bit of the CS-forced cell
+    ANDed, by slot, with each True literal's body set and each False
+    literal's complement, for s > 0 only, as ``P(b) >= 0`` always holds
+    and ``P(b) < 0`` never does.  That AND is a union of signature cells,
+    so the tuple is the first representative meeting every literal."""
+    cell, sets, first = table
+    for occ, slot, bit in zip(form.occs, form.slots, bits):
+        if occ.threshold.numerator:
+            cell &= sets[slot] if bit else ~sets[slot]
+        elif not bit:
+            return None
+    found = first(cell)
+    return found and found[1]
+
+
+def _signatures(form, table):
+    """The representative sign tuples, in enumeration order, and each
+    body's 0/1 column over them (``columns[body]``, one int per
+    representative), read off the truth table (``_table``).
+
+    A depth first refinement splits the CS-forced cell by each body's set
+    in turn, drops empty parts and carries the truth values taken, so
+    every leaf is one signature's cell and its key is that signature.  A
+    cell's representative is its lowest bit whose tuple passes
+    ``form.jsat``, the first J-satisfiable tuple of the signature in
+    enumeration order; a cell none of whose tuples passes has none."""
+    cell, sets, first = table
     reps = []
     stack = [(cell, ())]  # a cell and its key so far, one 0/1 per body
     while stack:
@@ -274,38 +313,34 @@ def _signatures(form):
                     stack.append((inside, key + (1,)))
                 cell ^= inside
                 key += (0,)
-        while cell:
-            i = (cell & -cell).bit_length() - 1
-            signs = high[i >> half] + low[i & mask]
-            if form.jsat(signs):
-                reps.append((i, signs, key))
-                break
-            cell &= cell - 1
+        if found := first(cell):
+            reps.append((*found, key))
     reps.sort()
     columns = zip(*[key for _, _, key in reps])
     return [signs for _, signs, _ in reps], dict(zip(form.bodies, columns))
 
 
-def _kept_rows(occs, columns):
-    """A function of the truth assignments to occs: None when the
-    assignment's system has a dead literal or two literals whose bounds
-    leave no room, which the columns decide with no tableau (Andersen and
-    Andersen, Math. Programming 1995), and otherwise the positions k in
-    occs of the literals whose rows reach the tableau, beside the total
-    row.
+def _kept_rows(form, columns):
+    """A function of the truth assignments to ``form.occs``: None when
+    the assignment's system has a dead literal or two literals whose
+    bounds leave no room, which the columns decide with no tableau
+    (Andersen and Andersen, Math. Programming 1995), and otherwise the
+    positions k in occs of the literals whose rows reach the tableau,
+    beside the total row.
 
     A literal's row is ``a.x >= s`` when it is True and ``a.x < s`` when
     it is False, a its body's column, beside the total row ``1.x = 1``.
-    Each column is read as one int mask, a byte per representative: equal
-    masks are one column, and ``mask ^ ones`` is its complement (1 minus
-    it), ``ones`` the all-ones column's mask.  The walk keys bounds by
-    small ints named after the masks, as an int's hash is not kept and a
-    mask's takes a pass over its bytes.  Dead: False on the all-ones
-    column; on the all-zeros column, mask 0, True with s > 0 or False
-    with s = 0.  No room, on the other columns: one mask's largest lower
-    bound is at least its smallest upper bound, or two complementary
-    masks' lower bounds sum past 1, or their upper bounds sum to 1 or
-    less.
+    Each column is read once per slot as one int mask, a byte per
+    representative: equal masks are one column, and ``mask ^ ones`` is
+    its complement (1 minus it), ``ones`` the all-ones column's mask.
+    The walk keys bounds by small ints named after the masks, as an int's
+    hash is not kept and a mask's takes a pass over its bytes.  Dead:
+    False on the all-ones column, True with s > 0 on the all-zeros
+    column, mask 0, and False with s = 0 on any column.  No room, on the
+    other columns: one mask's largest lower bound is at least its
+    smallest upper bound, or two complementary masks' lower bounds sum
+    past 1, or their upper bounds sum to 1 or less, a complement with no
+    upper bound reading 1, so that an upper bound 0 alone is dead.
 
     The kept literals are, per mask and direction, the tightest bound
     (the first on ties), in its first literal's place.  The
@@ -316,29 +351,25 @@ def _kept_rows(occs, columns):
     Each refutation is a Farkas certificate, multipliers +1 or -1 on at
     most two literal rows and the total row, that sums to a false
     constant row.  A dead literal on an all-zeros column is its row
-    alone, ``0 >= s`` or ``0 < 0``; on an all-ones column, its row less
-    the total row, ``0 < s - 1``.  A lower bound s and an upper bound u on
+    alone, ``0 >= s``; on an all-ones column, its row less the total row,
+    ``0 < s - 1``; False with s = 0 is its row alone, ``a.x < 0``, false
+    as a and x are non-negative.  A lower bound s and an upper bound u on
     one column subtract to ``0 > s - u``.  Lower bounds s and t on
     complementary columns, less the total row, sum to ``0 >= s + t - 1``,
-    and upper bounds to ``0 < s + t - 1``.
-
-    ``kept_rows.point_mass(bits)`` is the first representative, in
-    enumeration order, on which weight 1 alone meets every literal, or
-    None: the highest set byte of the AND of each True literal's mask
-    (no mask if s = 0) and each False literal's complement (0 if
-    s = 0, as ``P(b) < 0`` never holds)."""
-    one = math.lcm(*(occ.threshold.denominator for occ in occs))  # a threshold s is s * one
+    and upper bounds to ``0 < s + t - 1``."""
+    one = math.lcm(*(occ.threshold.denominator for occ in form.occs))  # a threshold s is s * one
     width = len(next(iter(columns.values())))  # the representatives
     ones = int.from_bytes(bytes([1]) * width, "big")
+    masks = [int.from_bytes(bytes(columns[body]), "big") for body in form.bodies]
     name = {}  # a mask to 4k, its complement to 4k + 2, k the first literal on either
     literals = []
-    for k, occ in enumerate(occs):
-        mask = int.from_bytes(bytes(columns[occ.body]), "big")
+    for k, (occ, slot) in enumerate(zip(form.occs, form.slots)):
+        mask = masks[slot]
         if mask not in name:
             name[mask], name[mask ^ ones] = 4 * k, 4 * k + 2
         s = occ.threshold.numerator * (one // occ.threshold.denominator)
         dead = False if mask == ones else s > 0 if mask == 0 else None
-        literals.append((name[mask], s, dead, mask))
+        literals.append((name[mask], s, dead))
     above = one + 1  # no upper bound, as -1 is no lower bound: neither decides a test
 
     def kept_rows(bits):
@@ -347,7 +378,7 @@ def _kept_rows(occs, columns):
         # complement's: the tightest bound and its literal, which keeps
         # the first literal's place
         bound, pos = {}, {}
-        for k, ((c, s, dead, _), bit) in enumerate(zip(literals, bits)):
+        for k, ((c, s, dead), bit) in enumerate(zip(literals, bits)):
             if dead is not None:
                 if bit == dead:
                     return None
@@ -361,20 +392,10 @@ def _kept_rows(occs, columns):
             if key & 1 == 0:
                 if s >= bound.get(key + 1, above) or s + bound.get(key ^ 2, -1) > one:
                     return None
-            elif s + bound.get(key ^ 2, above) <= one:
+            elif s + bound.get(key ^ 2, one) <= one:
                 return None
         return list(pos.values())
 
-    def point_mass(bits):
-        at = ones
-        for (_, s, _, mask), bit in zip(literals, bits):
-            if s:
-                at &= mask if bit else ~mask
-            elif not bit:
-                return None
-        return width - 1 - (at.bit_length() - 1) // 8 if at else None
-
-    kept_rows.point_mass = point_mass
     return kept_rows
 
 
@@ -386,55 +407,57 @@ def solve_sat(
 ):
     """SAT with a small-model witness (a SmallModel), or None for UNSAT.
 
-    Sign tuples with the same signature give identical columns, so each
-    signature keeps one column: its first J-satisfiable sign tuple in
-    enumeration order, found by partitioning the truth table
-    (``_signatures``), not by testing each tuple.  The truth assignments to
-    the AtLeast occurrences under which the formula holds are walked in
-    ``itertools.product`` order by ``assignments``, which fixes them left
-    to right and drops every prefix under which the formula is already
-    False, and each is tried as a linear system; the first feasible one
-    wins.  An assignment that the clash table (``_kept_rows``, built once
-    from the columns before the walk) refutes is skipped: it builds no
-    system, and neither ``feasible`` nor ``on_system`` sees it.  Any
-    other assignment's system, one row per literal, is built only for
-    ``on_system``.  It is decided by a point mass when one exists
-    (``kept_rows.point_mass``), with no tableau, else by ``feasible``
-    on the system of the literals the clash table keeps.
-    The winning system's basic solution is the model, one world per
-    positive weight (the only sign tuples made into Atoms), and is
-    certified before being returned.
+    The truth assignments to the AtLeast occurrences under which the
+    formula holds are walked in ``itertools.product`` order by
+    ``assignments``, which drops every prefix under which the formula is
+    already False; the first one with a model wins.  Unless
+    ``on_system`` is given, the first is tried on its point mass
+    (``_point_mass``) over the truth table (``_table``) before anything
+    else.  Only when that fails are the signatures partitioned
+    (``_signatures``), each keeping its first J-satisfiable tuple, and
+    each assignment, the first again, goes through the clash table
+    (``_kept_rows``): one it refutes builds no system, and neither
+    ``feasible`` nor ``on_system`` sees it.  Any other assignment's
+    system, one row per literal, is built only for ``on_system``, and is
+    decided by its point mass when it has one, else by ``feasible`` on
+    the literals the clash table keeps.  The winning basic solution is
+    the model, one world per positive weight, certified before it is
+    returned.
     """
     form = _Form(f, cs, cap)
     basis, occs = form.basis, form.occs
-    reps, columns = _signatures(form)
-    kept_rows = _kept_rows(occs, columns)
-    for bits in assignments(form.holds, len(occs)):
-        kept = kept_rows(bits)
-        if kept is None:
-            continue
-        if on_system is not None:
-            on_system(build_system(occs, bits, columns))
-        r = kept_rows.point_mass(bits)
-        if r is not None:
-            worlds = ((Atom(basis, reps[r]), Fraction(1)),)
-        else:
-            sol = feasible(build_system([occs[k] for k in kept], [bits[k] for k in kept], columns))
-            if sol is None:
+    table = _table(form)
+    walk = assignments(form.holds, len(occs))
+    bits = next(walk, None)
+    if bits is None:
+        return None
+    signs = _point_mass(form, table, bits) if on_system is None else None
+    if signs is not None:
+        worlds = ((Atom(basis, signs), Fraction(1)),)
+    else:
+        reps, columns = _signatures(form, table)
+        kept_rows = _kept_rows(form, columns)
+        for bits in itertools.chain((bits,), walk):
+            kept = kept_rows(bits)
+            if kept is None:
                 continue
-            worlds = tuple(
-                (Atom(basis, signs), w)
-                for signs, w in zip(reps, sol.values)
-                if w
-            )
-        model = SmallModel(worlds, basis)
-        problems = certify_model(model, f, cs, form=form)
-        if problems:
-            raise AssertionError(
-                "internal invariant violation: " + "; ".join(problems)
-            )
-        return model
-    return None
+            if on_system is not None:
+                on_system(build_system(occs, bits, columns))
+            signs = _point_mass(form, table, bits)
+            if signs is not None:
+                worlds = ((Atom(basis, signs), Fraction(1)),)
+                break
+            sol = feasible(build_system([occs[k] for k in kept], [bits[k] for k in kept], columns))
+            if sol is not None:
+                worlds = tuple((Atom(basis, signs), w) for signs, w in zip(reps, sol.values) if w)
+                break
+        else:
+            return None
+    model = SmallModel(worlds, basis)
+    problems = certify_model(model, f, cs, form=form)
+    if problems:
+        raise AssertionError("internal invariant violation: " + "; ".join(problems))
+    return model
 
 
 def valid(f: PFormula, cs: ConstantSpec, cap: int = DEFAULT_ATOM_CAP) -> bool:

@@ -170,7 +170,11 @@ def ref_clashes(rows):
     beside some non-zero coefficient vector's first equality.  On a
     solver system, whose only equality is the total row, these are the
     dead literals and the pairs of bounds that leave no room: the oracle
-    of the solver's clash table."""
+    of the solver's clash table.  A ``<`` row with right-hand side 0 and
+    coefficients >= 0 fails on its own, as non-negative weights never sum
+    below 0."""
+    if any(r.rel is Rel.LT and r.rhs == 0 and min(r.coeffs) >= 0 for r in rows):
+        return True
     kept = ref_presolve(rows)
     if kept is None:
         return True

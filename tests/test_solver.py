@@ -23,7 +23,9 @@ from pjsat.solver import (
     _Form,
     _body_set,
     _kept_rows,
+    _point_mass,
     _signatures,
+    _table,
     _truth_table,
     build_system,
     certify_model,
@@ -42,6 +44,7 @@ from pjsat.syntax import (
     PAnd,
     PNot,
     Prop,
+    assignments,
     atoms_of,
     basis_of,
     parse_jformula,
@@ -97,6 +100,12 @@ def simplex_solutions(monkeypatch):
 
     monkeypatch.setattr(pjsat.solver, "feasible", counted)
     return found
+
+
+def signatures(f):
+    """solve_sat's representatives and columns for f, as it builds them."""
+    form = _Form(f, CS)
+    return _signatures(form, _table(form))
 
 
 def model_of(*pairs):
@@ -304,7 +313,7 @@ class TestSolveSat:
             m = solve_sat(f, CS, on_system=systems.append)
             seen = [[(row.rel, row.rhs) for row in s.rows[1:]] for s in systems]
             assert all(len(s.rows) <= size_p(f) for s in systems)
-            columns = _signatures(_Form(f, CS))[1]
+            columns = signatures(f)[1]
             expected = []
             for bits in minterms:
                 system = build_system(occs, bits, columns)
@@ -436,8 +445,10 @@ class TestSignatureDedup:
     )
 
     def test_fixed_walk_keeps_representatives(self):
-        # solve_sat's columns equal those of a walk over every sign tuple
-        # that keeps, per signature, the first one atom_jsat accepts
+        # solve_sat's representatives and columns, compared once per
+        # formula, equal those of a walk over every sign tuple that keeps,
+        # per signature, the first one atom_jsat accepts; and every system
+        # it hands on_system has those columns
         rng = random.Random(89)
         formulas = [parse_pformula(t) for t in self.HAND_WRITTEN]
         while len(formulas) < 120:
@@ -450,7 +461,7 @@ class TestSignatureDedup:
                     f = PAnd(f, PNot(g) if rng.random() < 0.4 else g)
             if len(basis_of(f)) <= 8:
                 formulas.append(f)
-        compared = with_forced = 0
+        systems_seen = with_forced = 0
         for f in formulas:
             basis = basis_of(f)
             bodies = list(dict.fromkeys(occ.body for occ in _occurrences(f)))
@@ -461,6 +472,7 @@ class TestSignatureDedup:
                 if key not in reps and atom_jsat(a, CS):
                     reps[key] = signs
             expected = {body: tuple(int(k[i]) for k in reps) for i, body in enumerate(bodies)}
+            assert signatures(f) == (list(reps.values()), expected), f
             systems = []
             solve_sat(f, CS, on_system=systems.append)
             occs = _occurrences(f)
@@ -468,9 +480,9 @@ class TestSignatureDedup:
                 assert [row.coeffs for row in system.rows[1:]] == [
                     expected[occ.body] for occ in occs
                 ], f
-                compared += 1
+            systems_seen += len(systems)
             with_forced += bool(list(jsat_test(basis, CS).cs_forced()))
-        assert compared > 100
+        assert systems_seen > 90  # 99
         assert with_forced > 25
 
 
@@ -527,8 +539,8 @@ class TestClashTest:
         refuted = tried = 0
         for f in formulas:
             form = _Form(f, CS)
-            columns = _signatures(form)[1]
-            kept_rows = _kept_rows(form.occs, columns)
+            columns = _signatures(form, _table(form))[1]
+            kept_rows = _kept_rows(form, columns)
             occs, minterms = _minterms(f)
             assert occs == form.occs, f
             for bits in minterms:
@@ -547,19 +559,19 @@ class TestClashTest:
         formulas = [parse_pformula(text) for text in _workload_texts(monkeypatch)]
         assert len(formulas) == 1167
         refuted, tried = self.compare(formulas)
-        assert refuted > 650 and tried > 1600  # 672 of 1638
+        assert refuted > 800 and tried > 1600  # 810 of 1638
         # no system that solve_sat hands to feasible is one the oracle refutes
         systems = []
         for f in formulas:
             solve_sat(f, CS, on_system=systems.append)
-        assert len(systems) > 600  # 663
+        assert len(systems) > 600  # 621
         assert not any(ref_clashes(s.rows) for s in systems)
 
     def test_random_formulas(self):
         rng = random.Random(101)
         formulas = [rand_pformula(rng, depth=rng.randint(1, 4)) for _ in range(3000)]
         refuted, tried = self.compare(formulas)
-        assert refuted > 700 and tried > 4800  # 729 of 4902
+        assert refuted > 1200 and tried > 4800  # 1210 of 4902
 
     def test_mask_edge_cases(self):
         # each text with its number of representatives, the bytes of each
@@ -580,7 +592,7 @@ class TestClashTest:
         }
         formulas = [parse_pformula(text) for text in cases]
         for f, reps in zip(formulas, cases.values()):
-            assert len(_signatures(_Form(f, CS))[0]) == reps, f
+            assert len(signatures(f)[0]) == reps, f
         assert self.compare(formulas) == (10, 19)
 
 
@@ -615,7 +627,7 @@ class TestPointMass:
             assert one_world == (j is not None), f
             if j is not None:
                 points += 1
-                reps = _signatures(_Form(f, CS))[0]
+                reps = signatures(f)[0]
                 assert m.worlds == ((Atom(m.basis, reps[j]), F(1)),), f
         return points, sats
 
@@ -671,6 +683,85 @@ class TestPointMass:
         m = solve_sat(parse_pformula("P>=1/2 p1 & ~P>=1/2 p2"), CS)
         assert certified == [m]
         assert m.worlds == ((Atom(m.basis, (True, False)), F(1)),)
+
+
+class TestFirstAssignment:
+    """The first walked assignment is tried on a point mass read off the
+    truth table (``_point_mass``) before anything else; the partition
+    (``_signatures``) and the clash table are built only when it has
+    none, or when on_system is given."""
+
+    # SAT, but the first assignment's candidate tuples, where s:(p1 -> p2)
+    # and t:p1 hold and (s.t):p2 does not, are all J-unsatisfiable
+    TRAP = "P>=1 s:(p1 -> p2) & P>=1/2 t:p1 & ~P>=1 (s.t):p2 & ~P>=1 (t+s):p1"
+
+    @staticmethod
+    def formulas(monkeypatch):
+        rng = random.Random(43)
+        formulas = [parse_pformula(text) for text in _workload_texts(monkeypatch)]
+        return formulas + [rand_pformula(rng, depth=rng.randint(1, 4)) for _ in range(200)]
+
+    @staticmethod
+    def partitions(monkeypatch):
+        """A list that gets each form solver._signatures is called on."""
+        calls = []
+
+        def counted(form, table):
+            calls.append(form)
+            return _signatures(form, table)
+
+        monkeypatch.setattr(pjsat.solver, "_signatures", counted)
+        return calls
+
+    def test_on_system_keeps_the_model(self, monkeypatch):
+        # the fast path, taken only without on_system, decides as the walk
+        for f in self.formulas(monkeypatch):
+            assert solve_sat(f, CS) == solve_sat(f, CS, on_system=[].append), f
+
+    def test_point_mass_is_the_first_unit_solution(self, monkeypatch):
+        # on every walked assignment the clash table keeps, the point mass
+        # is the representative of the first unit vector meeting its system
+        tried = points = 0
+        for f in self.formulas(monkeypatch):
+            form = _Form(f, CS)
+            table = _table(form)
+            reps, columns = _signatures(form, table)
+            kept_rows = _kept_rows(form, columns)
+            for bits in assignments(form.holds, len(form.occs)):
+                if kept_rows(bits) is None:
+                    continue
+                j = _first_unit_solution(build_system(form.occs, bits, columns))
+                assert _point_mass(form, table, bits) == (None if j is None else reps[j]), f
+                tried += 1
+                points += j is not None
+        assert tried > 1000 and 850 < points < tried  # 917 of 1069
+
+    def test_partitions_built(self, monkeypatch):
+        calls = self.partitions(monkeypatch)
+        for text, count in (
+            ("P>=1/2 p1 & ~P>=1/2 p2", 0),  # a point mass on the first assignment
+            ("P>=1/2 p1 & P>=1/2 ~p1", 1),  # a split mass, from the simplex
+            (self.TRAP, 1),
+        ):
+            calls.clear()
+            assert solve_sat(parse_pformula(text), CS) is not None, text
+            assert len(calls) == count, text
+        # the trap's fast path misses after J-testing its candidates
+        form = _Form(parse_pformula(self.TRAP), CS)
+        cell, sets, _ = table = _table(form)
+        bits = next(assignments(form.holds, len(form.occs)))
+        for slot, bit in zip(form.slots, bits):
+            cell &= sets[slot] if bit else ~sets[slot]
+        assert cell and _point_mass(form, table, bits) is None
+
+    def test_small_workload_partitions(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        calls = self.partitions(monkeypatch)
+        texts = [instance.text for instance in workloads.WORKLOADS["small"](1)]
+        for text in texts:
+            solve_sat(parse_pformula(text), CS)
+        assert (len(calls), len(texts)) == (211, 373)
 
 
 class TestFrontier:
